@@ -19,7 +19,7 @@ from .diffcore import SGD, ContractError, Tensor, backward
 from .contrastive import confidence_mask
 from .domains import DomainBatch, DomainBatcher, make_two_moons_pair
 from .diagnostics import empirical_emp, equilibrium_report, lambda_sweep, write_sweep_csv
-from .model import emp_forward, encode, init_model, load_checkpoint, logits_of
+from .model import emp_forward, encode_np, init_model, load_checkpoint, logits_of
 from .trainer import (
     TrainConfig,
     build_config,
@@ -176,8 +176,8 @@ def _check_gradients(rng) -> bool:
         t = np.zeros((4, 3))
         t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
         lam_t = Tensor(rng.uniform(0.1, 0.9, 4), requires_grad=True)
-        zs_const = encode(p, x).detach()
-        zt_const = encode(p, xt).detach()
+        zs_const = Tensor(encode_np(p, x.data))
+        zt_const = Tensor(encode_np(p, xt.data))
         params = [p.enc_w1, p.enc_b1, p.cls_w, p.emp_w2, lam_t]
 
         def fn():

@@ -66,14 +66,19 @@ def consensus_keep_mask(p: ModelParams, views: ConsensusViews, beta: float) -> n
     return confidence_mask(target_top1_probs(p, views.xt), beta)
 
 
-def consensus_loss(p: ModelParams, views: ConsensusViews, beta: float) -> Tensor:
+def consensus_loss(
+    p: ModelParams, views: ConsensusViews, beta: float, keep: np.ndarray | None = None
+) -> Tensor:
     """Both views' cross entropy against their shared consensus label,
     averaged over the mask-kept rows. The label is a constant; an empty
-    kept set contributes a constant zero."""
+    kept set contributes a constant zero. `keep` is the mask
+    consensus_keep_mask gives at this theta, when the caller already has it."""
     z1 = logits_of(p, views.x_v1)
     z2 = logits_of(p, views.x_v2)
     y_hat = consensus_labels(z1.data, z2.data)
-    kept = np.nonzero(consensus_keep_mask(p, views, beta))[0]
+    if keep is None:
+        keep = consensus_keep_mask(p, views, beta)
+    kept = np.nonzero(keep)[0]
     if kept.size == 0:
         return Tensor(0.0)
     y_kept = y_hat[kept]

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ContractError, Tensor
 from .domains import DomainBatch
-from .model import ModelParams, logits_of, one_hot_argmax
+from .model import ModelParams, forward_np, logits_of, one_hot_argmax
 from .vicinal import RatioVector, mix, ratios
 
 
@@ -41,9 +41,14 @@ def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
     return probs >= threshold
 
 
+def top1_probs(logits: np.ndarray) -> np.ndarray:
+    """Top-1 softmax probability of each row of logits."""
+    return dc.softmax_np(logits).max(axis=1)
+
+
 def target_top1_probs(p: ModelParams, xt: Tensor) -> np.ndarray:
     """Top-1 softmax probability of each unmixed target row."""
-    return dc.softmax_np(logits_of(p, xt).data).max(axis=1)
+    return top1_probs(forward_np(p, xt.data))
 
 
 @dataclass(frozen=True)
@@ -141,8 +146,8 @@ def swap_agreement(p: ModelParams, pairs: ContrastivePair) -> float:
     top1 of each view equals top2 of the other. Empty kept set counts 0."""
     if pairs.n_kept == 0:
         return 0.0
-    z_sd = logits_of(p, pairs.x_sd).data
-    z_td = logits_of(p, pairs.x_td).data
+    z_sd = forward_np(p, pairs.x_sd.data)
+    z_td = forward_np(p, pairs.x_td.data)
     k1_sd, k2_sd = top2_of(z_sd)
     k1_td, k2_td = top2_of(z_td)
     return float(np.mean((k1_sd == k2_td) & (k1_td == k2_sd)))
@@ -156,6 +161,6 @@ def dominance_fractions(
     if pairs.n_kept == 0:
         return 0.0, 0.0
     src_label = ys.data[pairs.kept_indices].argmax(axis=1)
-    top_sd = logits_of(p, pairs.x_sd).data.argmax(axis=1)
-    top_td = logits_of(p, pairs.x_td).data.argmax(axis=1)
+    top_sd = forward_np(p, pairs.x_sd.data).argmax(axis=1)
+    top_td = forward_np(p, pairs.x_td.data).argmax(axis=1)
     return float(np.mean(top_sd == src_label)), float(np.mean(top_td == src_label))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ContractError, Tensor
+from .diffcore import ContractError
 from .domains import DomainPairDataset
-from .model import RATIO_GRID, ModelParams, RatioGrid, logits_of
-from .vicinal import mix, ratios
+from .model import RATIO_GRID, ModelParams, RatioGrid, forward_np
+from .vicinal import mix_np
 
 DEFAULT_SWEEP_SAMPLES = 256
 SWEEP_HEADER = ["lambda", "mean_entropy", "source_dom", "target_dom"]
@@ -54,15 +54,14 @@ def lambda_sweep(
             f"n_samples {n_samples} exceeds dataset size {min(ds.n_source, ds.n_target)}"
         )
     tgt_idx = (np.arange(n_samples) + 1) % n_samples
-    xs = Tensor(ds.source_x.data[:n_samples])
-    xt = Tensor(ds.target_x.data[tgt_idx])
+    xs = ds.source_x.data[:n_samples]
+    xt = ds.target_x.data[tgt_idx]
     src_label = ds.source_y.data[:n_samples].argmax(axis=1)
     tgt_label = ds.target_y_eval.data[tgt_idx].argmax(axis=1)
 
     rows = []
     for lam_k in grid.values:
-        lam = ratios(np.full(n_samples, lam_k))
-        logits = logits_of(p, mix(xs, xt, lam)).data
+        logits = forward_np(p, mix_np(xs, xt, lam_k))
         top1 = logits.argmax(axis=1)
         rows.append(
             SweepRow(

@@ -8,6 +8,7 @@ pair). An optimizer step on one group never touches the other.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -158,6 +159,100 @@ def logits_of(p: ModelParams, x: Tensor) -> Tensor:
     return classify(p, encode(p, x))
 
 
+# Rows per block of the tape-free forward. A fresh float64 temporary over
+# glibc's 128 KiB mmap threshold is mapped and unmapped on every call, and
+# its page faults cost more than the matmul itself: alone, a 1000-row
+# forward at the default widths took 810-1050 us unblocked and 290-400 us
+# in 256-row blocks (hidden 64, so one block's hidden layer is 128 KiB).
+# Measured per adaptation step of a default train (2-core x86-64, OpenBLAS):
+# p50 5.6 / 5.2 / 5.1 / 5.9 / 6.3 ms at 64 / 128 / 256 / 512 rows / unblocked,
+# with 512 also hitting a 24 ms p90; at hidden 256 every size from 128 up
+# was within noise of unblocked.
+FORWARD_BLOCK_ROWS = 256
+
+
+def _row_blocks(m: int):
+    """Row slices of at most FORWARD_BLOCK_ROWS rows. A would-be one-row
+    tail joins the block before it: numpy multiplies a single row through
+    a matrix-vector kernel whose sums can differ in the last bit from the
+    matrix-matrix kernel the taped forward uses for the same row."""
+    start = 0
+    while start < m:
+        stop = start + FORWARD_BLOCK_ROWS
+        if stop >= m - 1:
+            stop = m
+        yield slice(start, stop)
+        start = stop
+
+
+def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
+    """fn applied to row blocks of x, stacked into [m x width]."""
+    m = x.shape[0]
+    if m <= FORWARD_BLOCK_ROWS + 1:
+        return fn(x)
+    out = np.empty((m, width))
+    for rows in _row_blocks(m):
+        out[rows] = fn(x[rows])
+    return out
+
+
+# The plain-array layers repeat the taped ops in the taped order (x @ w,
+# then + b, then np.where(a > 0.0, a, 0.0)) so both forwards agree bit for
+# bit; np.maximum would differ from the taped relu on -0.0 and nan.
+def _affine_np(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    a = x @ w.data
+    a += b.data
+    return a
+
+
+def _relu_np(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0.0, a, 0.0)
+
+
+def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    return _affine_np(_relu_np(_affine_np(x, p.enc_w1, p.enc_b1)), p.enc_w2, p.enc_b2)
+
+
+def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    return _affine_np(_encode_rows(p, x), p.cls_w, p.cls_b)
+
+
+def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != p.d:
+        raise ShapeError(f"encode expects [m x {p.d}], got {x.shape}")
+
+
+def encode_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Tape-free encode: the same features as `encode`, bit for bit."""
+    _check_inputs(p, x)
+    return _by_row_blocks(lambda xb: _encode_rows(p, xb), p.feat_dim, x)
+
+
+def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Tape-free class logits: the same values as `logits_of`, bit for bit.
+    Every forward that needs no gradient goes through here.
+
+    Row blocking keeps the bits only while BLAS sums each row of a block
+    in the same order as in the whole matrix; the tests pin this at the
+    default and the wide (16 -> 256 -> 64 -> 5) shapes up to 2000 rows.
+    """
+    _check_inputs(p, x)
+    return _by_row_blocks(lambda xb: _logits_rows(p, xb), p.n_classes, x)
+
+
+def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Tape-free grid logits: the same values as `emp_forward`, bit for bit.
+
+    Not row-blocked: it only sees one batch of pairs, and its narrow
+    64 -> 11 output layer is where OpenBLAS switches kernels with the row
+    count (past about 1500 rows a block and the whole matrix round apart).
+    """
+    if zs.shape != zt.shape:
+        raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
+    h = _relu_np(_affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1, p.emp_b1))
+    return _affine_np(h, p.emp_w2, p.emp_b2)
+
+
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:
     """Row-wise argmax as one-hot; ties resolve to the lowest class index."""
     idx = np.argmax(logits, axis=1)
@@ -168,8 +263,7 @@ def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:
 
 def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
     """One-hot argmax predictions on target rows; constant, no gradient."""
-    logits = logits_of(p, xt).data
-    return Tensor(one_hot_argmax(logits, p.n_classes))
+    return Tensor(one_hot_argmax(forward_np(p, xt.data), p.n_classes))
 
 
 def save_checkpoint(p: ModelParams, path: str) -> None:
@@ -191,23 +285,45 @@ def save_checkpoint(p: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read back a save_checkpoint file. A file that is not exactly one
+    whole checkpoint (other magic, cut short, trailing bytes, a header that
+    does not describe the model's arrays) raises ContractError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ContractError(f"{path} is not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {header['version']}")
-        dims = header["dims"]
-        p = init_model(seed=header["seed"], **dims)
-        for spec, (name, t) in zip(header["arrays"], p.named_params()):
-            if spec["name"] != name:
-                raise ContractError(f"checkpoint array order mismatch at {spec['name']}")
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            t.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raw = fh.read()
+    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ContractError(f"{path} is not a checkpoint file")
+    offset = len(CHECKPOINT_MAGIC) + 4
+    if len(raw) < offset:
+        raise ContractError(f"{path}: checkpoint truncated in its header")
+    (hlen,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    if len(raw) < offset + hlen:
+        raise ContractError(f"{path}: checkpoint truncated in its header")
+    try:
+        header = json.loads(raw[offset : offset + hlen].decode("utf-8"))
+        version = header["version"]
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]
+        n_bytes = 8 * sum(math.prod(shape) for _, shape in specs)
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ContractError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    if version != CHECKPOINT_VERSION:
+        raise ContractError(f"unsupported checkpoint version {version}")
+    offset += hlen
+    # checked before init_model allocates anything the header asks for
+    if len(raw) - offset != n_bytes:
+        raise ContractError(
+            f"{path}: checkpoint holds {len(raw) - offset} array bytes, expected {n_bytes}"
+        )
+    try:
+        p = init_model(seed=header["seed"], **header["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    expected = [(name, t.data.shape) for name, t in p.named_params()]
+    if specs != expected:
+        raise ContractError(f"{path}: checkpoint arrays {specs} do not match the model {expected}")
+    for _, t in p.named_params():
+        a = np.frombuffer(raw, dtype="<f8", count=t.data.size, offset=offset)
+        t.data = a.reshape(t.data.shape).copy()
+        offset += a.nbytes
     return p
 
 

@@ -11,6 +11,7 @@ is byte-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .contrastive import (
     confidence_mask,
     contrastive_loss,
     swap_agreement,
-    target_top1_probs,
+    top1_probs,
 )
 from .diffcore import SGD, ContractError, Tensor, backward
 from .domains import (
@@ -33,8 +34,15 @@ from .domains import (
     make_blobs_pair,
     make_two_moons_pair,
 )
-from .model import ModelParams, init_model, logits_of, pseudo_labels, save_checkpoint
-from .vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix
+from .model import (
+    ModelParams,
+    forward_np,
+    init_model,
+    logits_of,
+    one_hot_argmax,
+    save_checkpoint,
+)
+from .vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix_np
 
 METRICS_HEADER = (
     "step,r_emp,r_ct,r_cs,source_acc,target_acc,mean_lambda_star,ct_keep,cs_keep,agreement"
@@ -78,6 +86,10 @@ class TrainConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"config key {f.name} must be finite, got {value}")
         if self.dataset not in ("two_moons", "blobs"):
             raise ContractError(f"unknown dataset {self.dataset!r}")
         if self.lr <= 0 or self.phi_lr <= 0:
@@ -219,8 +231,8 @@ def make_dataset(cfg: TrainConfig, data_seed: int) -> DomainPairDataset:
 
 def evaluate(p: ModelParams, ds: DomainPairDataset) -> tuple[float, float]:
     """Argmax accuracy on both splits; target uses the eval-only labels."""
-    src_pred = logits_of(p, ds.source_x).data.argmax(axis=1)
-    tgt_pred = logits_of(p, ds.target_x).data.argmax(axis=1)
+    src_pred = forward_np(p, ds.source_x.data).argmax(axis=1)
+    tgt_pred = forward_np(p, ds.target_x.data).argmax(axis=1)
     src_acc = float(np.mean(src_pred == ds.source_y.data.argmax(axis=1)))
     tgt_acc = float(np.mean(tgt_pred == ds.target_y_eval.data.argmax(axis=1)))
     return src_acc, tgt_acc
@@ -316,9 +328,8 @@ def covi_step(
     lam_star = emp_argmax(p, batch)
     mean_lambda = float(lam_star.values.mean())
     # adversary's achieved entropy at the chosen ratios, for the r_emp metric
-    ent_at_star = float(
-        np.mean(dc.entropy_rows_np(logits_of(p, mix(batch.xs, batch.xt, lam_star)).data))
-    )
+    x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
+    ent_at_star = float(np.mean(dc.entropy_rows_np(forward_np(p, x_star))))
 
     r_mix = 0.0
     r_ct = 0.0
@@ -344,16 +355,17 @@ def covi_step(
         r_mix = theta_update(emp_mixup_loss(p, batch, lam_star), cfg.w_emp, "worst-case mixup")
 
     if cfg.w_ct > 0:
-        mask = confidence_mask(target_top1_probs(p, batch.xt), cfg.alpha)
+        # one target forward at this theta feeds the mask and the pseudo labels
+        zt = forward_np(p, batch.xt.data)
+        mask = confidence_mask(top1_probs(zt), cfg.alpha)
         pairs = build_contrastive_pairs(
             batch, lam_star, cfg.omega, mask, cfg.space_sd, cfg.space_td
         )
         ct_keep = pairs.n_kept / batch.m
         agreement = swap_agreement(p, pairs)
+        yt_hat = Tensor(one_hot_argmax(zt, p.n_classes))
         r_ct = theta_update(
-            contrastive_loss(p, pairs, batch.ys, pseudo_labels(p, batch.xt)),
-            cfg.w_ct,
-            "contrastive",
+            contrastive_loss(p, pairs, batch.ys, yt_hat), cfg.w_ct, "contrastive"
         )
 
     if cfg.w_cs > 0:
@@ -361,8 +373,9 @@ def covi_step(
         if cfg.lam_p_adaptive:
             lam_p = adaptive_lam_p(lam_p, mean_lambda, cfg.omega)
         views = make_views(batch, lam_p, views_rng)
-        cs_keep = float(consensus_keep_mask(p, views, cfg.beta).mean())
-        r_cs = theta_update(consensus_loss(p, views, cfg.beta), cfg.w_cs, "consensus")
+        keep = consensus_keep_mask(p, views, cfg.beta)
+        cs_keep = float(keep.mean())
+        r_cs = theta_update(consensus_loss(p, views, cfg.beta, keep), cfg.w_cs, "consensus")
 
     if pending:
         total = pending[0]

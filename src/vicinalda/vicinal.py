@@ -21,7 +21,9 @@ from .model import (
     ModelParams,
     RatioGrid,
     emp_forward,
-    encode,
+    emp_forward_np,
+    encode_np,
+    forward_np,
     logits_of,
     pseudo_labels,
 )
@@ -76,6 +78,12 @@ def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
     return (1.0 - lam_col) * xs + lam_col * xt
 
 
+def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
+    """Plain-array mix with one ratio or a column of per-row ratios; the
+    same values as `mix`, bit for bit."""
+    return (1.0 - lam) * xs + lam * xt
+
+
 def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     """Soft labels (1 - lam) * ys + lam * yt_hat; constant, no gradient."""
     lam_col = lam.values[:, None]
@@ -96,12 +104,10 @@ def grid_entropy_table(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RAT
     Plain-array computation, no tape; this is the exhaustive view of the
     entropy landscape the ratio learner is trained to summarize.
     """
-    m = batch.m
-    table = np.empty((m, len(grid.values)))
+    xs, xt = batch.xs.data, batch.xt.data
+    table = np.empty((batch.m, len(grid.values)))
     for k, lam_k in enumerate(grid.values):
-        lam = ratios(np.full(m, lam_k))
-        logits = logits_of(p, mix(batch.xs, batch.xt, lam)).data
-        table[:, k] = dc.entropy_rows_np(logits)
+        table[:, k] = dc.entropy_rows_np(forward_np(p, mix_np(xs, xt, lam_k)))
     return table
 
 
@@ -113,10 +119,10 @@ def brute_force_emp(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_
 
 
 def _pair_grid_logits(p: ModelParams, batch: DomainBatch) -> Tensor:
-    """Grid logits for each pair; encoder features are detached so the
+    """Grid logits for each pair; encoder features are constants so the
     gradient path reaches phi only."""
-    zs = encode(p, batch.xs).detach()
-    zt = encode(p, batch.xt).detach()
+    zs = Tensor(encode_np(p, batch.xs.data))
+    zt = Tensor(encode_np(p, batch.xt.data))
     return emp_forward(p, zs, zt)
 
 
@@ -131,7 +137,7 @@ def emp_soft(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -
 def emp_argmax(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> RatioVector:
     """Hard argmax over the learner's grid logits; constant, no gradient.
     Ties take the lower grid index."""
-    logits = _pair_grid_logits(p, batch).data
+    logits = emp_forward_np(p, encode_np(p, batch.xs.data), encode_np(p, batch.xt.data))
     return ratios(grid.values[np.argmax(logits, axis=1)])
 
 

@@ -5,6 +5,7 @@ prints one pass/fail line (run with -s to see them live). The heavy
 multi-seed training artifacts are built once per module.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -477,6 +478,26 @@ def test_property_per_pair_peak_matches_sweep_peak(default_runs):
         per_pair_mean = float(brute_force_emp(run["final"], batch).values.mean())
         peak, _ = empirical_emp(lambda_sweep(run["final"], ds, n))
         assert abs(per_pair_mean - peak) <= 0.1 + 1e-9
+
+
+# sha256 of metrics.csv for seeds 0-4 at the default config, recorded
+# before the tape-free forward took over the gradient-free passes. Training
+# must keep every byte. The values come from OpenBLAS 0.3.31 (Haswell
+# kernels) on x86-64; a BLAS that sums in another order gives other bytes.
+GOLDEN_METRICS_SHA256 = {
+    0: "593fd417cb5345b8126df678b0080b68d42560dbb11bce954c5842ecf83e3d12",
+    1: "f4dfb429d14a4cec9c5631505522bab4092a61de11f94f8158f4d899b5e012ca",
+    2: "ae6c7395d3bc1626bbc0811febe743251fcea50c40c8b36e2f4f84378e44d645",
+    3: "0000f403fe85d1d60829443e5c3ff9bf1ecdafa54ce81f267d1941553c6c634e",
+    4: "296695a4a1dbb7e6262f02a822a1faa3260d335ae223ef0768f201502b071519",
+}
+
+
+def test_default_metrics_match_golden_digests(default_runs):
+    for run in default_runs["runs"]:
+        with open(run["metrics_path"], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == GOLDEN_METRICS_SHA256[run["seed"]], f"seed {run['seed']}"
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -52,6 +52,13 @@ class TestUsageErrors:
         assert res.returncode == 2
         assert "warp_speed" in res.stderr
 
+    def test_non_finite_value_exits_2_before_warmup(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("train", "--set", "lr=nan", "--out", str(out))
+        assert res.returncode == 2
+        assert "lr must be finite" in res.stderr
+        assert not (out / "checkpoint_warmup.ckpt").exists()
+
     def test_eval_without_checkpoint_exits_1(self, tmp_path):
         res = run_cli("eval", "--out", str(tmp_path), *TINY)
         assert res.returncode == 1

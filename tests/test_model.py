@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from vicinalda import diffcore as dc
-from vicinalda.diffcore import SGD, ShapeError, Tensor, backward
+from vicinalda.diffcore import SGD, ContractError, ShapeError, Tensor, backward
 from vicinalda.model import (
+    FORWARD_BLOCK_ROWS,
     RATIO_GRID,
     classify,
     copy_params,
     emp_forward,
+    emp_forward_np,
     encode,
+    encode_np,
+    forward_np,
     init_model,
     load_checkpoint,
     logits_of,
@@ -203,6 +207,56 @@ class TestPseudoLabels:
         assert labels._parents == ()
 
 
+def perturbed_model(d, n_classes, feat_dim, hidden, seed=5):
+    """A model whose weights and biases are all nonzero, as after training."""
+    p = init_model(d=d, n_classes=n_classes, feat_dim=feat_dim, hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in p.named_params():
+        t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+    return p
+
+
+# (d, n_classes, feat_dim, hidden): the default two-moons net and the wide
+# 5-class blobs net
+FORWARD_SHAPES = [
+    pytest.param(2, 2, 32, 64, id="default"),
+    pytest.param(16, 5, 64, 256, id="wide"),
+]
+FORWARD_ROWS = [1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 1, 2000]
+
+
+class TestTapeFreeForward:
+    @pytest.mark.parametrize("m", FORWARD_ROWS)
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden", FORWARD_SHAPES)
+    def test_bit_identical_to_taped(self, d, n_classes, feat_dim, hidden, m):
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        x = np.random.default_rng(m).normal(scale=2.0, size=(m, d))
+        assert np.array_equal(forward_np(p, x), logits_of(p, Tensor(x)).data)
+        assert np.array_equal(encode_np(p, x), encode(p, Tensor(x)).data)
+
+    @pytest.mark.parametrize("m", FORWARD_ROWS)
+    def test_grid_head_bit_identical_to_taped(self, m):
+        p = perturbed_model(16, 5, 64, 256)
+        rng = np.random.default_rng(m)
+        zs, zt = rng.normal(size=(2, m, 64))
+        expected = emp_forward(p, Tensor(zs), Tensor(zt)).data
+        assert np.array_equal(emp_forward_np(p, zs, zt), expected)
+
+    def test_nan_and_negative_zero_rows_match_taped(self):
+        # the taped relu maps nan to 0 and keeps -0.0 out; np.maximum would not
+        p = perturbed_model(2, 2, 32, 64)
+        p.enc_b1.data[:] = 0.0
+        x = np.array([[np.nan, 1.0], [-0.0, -0.0], [0.0, 0.0], [1.0, -1.0]])
+        assert np.array_equal(forward_np(p, x), logits_of(p, Tensor(x)).data)
+
+    def test_shape_error(self):
+        p = small_model()
+        with pytest.raises(ShapeError):
+            forward_np(p, np.zeros((4, 2)))
+        with pytest.raises(ShapeError):
+            encode_np(p, np.zeros(3))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         p = init_model(d=2, n_classes=2, seed=42)
@@ -219,6 +273,38 @@ class TestCheckpoint:
         assert q.seed == p.seed
         save_checkpoint(q, str(tmp_path / "model2.ckpt"))
         assert open(path, "rb").read() == open(str(tmp_path / "model2.ckpt"), "rb").read()
+
+    def test_every_truncated_prefix_fails_cleanly(self, tmp_path):
+        p = init_model(d=2, n_classes=2, feat_dim=2, hidden=3, hidden_g=2, seed=4)
+        full = str(tmp_path / "full.ckpt")
+        save_checkpoint(p, full)
+        data = open(full, "rb").read()
+        cut = str(tmp_path / "cut.ckpt")
+        for n in range(len(data)):
+            with open(cut, "wb") as fh:
+                fh.write(data[:n])
+            with pytest.raises(ContractError):
+                load_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(small_model(), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00\x00")
+        with pytest.raises(ContractError, match="array bytes"):
+            load_checkpoint(path)
+
+    def test_header_shape_mismatch_rejected(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_model(d=2, n_classes=2, feat_dim=2, hidden=3, seed=0), path)
+        data = open(path, "rb").read()
+        # same byte count, transposed enc_w1 shape
+        swapped = data.replace(b'"shape": [2, 3]', b'"shape": [3, 2]', 1)
+        assert swapped != data
+        with open(path, "wb") as fh:
+            fh.write(swapped)
+        with pytest.raises(ContractError, match="do not match"):
+            load_checkpoint(path)
 
     def test_copy_params_is_deep(self):
         p = small_model()

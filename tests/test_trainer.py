@@ -108,6 +108,15 @@ class TestConfig:
             with pytest.raises(ContractError):
                 TrainConfig(**kw).validate()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("lr", "nan"), ("rotation_deg", "nan"), ("noise_std", "inf"), ("alpha", "nan"),
+         ("phi_lr", "-inf"), ("blob_shift", "inf"), ("beta", "nan"), ("space_td", "nan")],
+    )
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ContractError, match=f"{key} must be finite"):
+            build_config(None, overrides=[f"{key}={value}"])
+
     def test_echo_reproduces_every_field(self):
         echo = config_echo(TrainConfig())
         assert "lr = 0.01" in echo

@@ -8,9 +8,18 @@ import pytest
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import SGD, ContractError, Tensor, backward
 from vicinalda.domains import DomainBatch
-from vicinalda.model import RATIO_GRID, init_model, logits_of, params_checksum, pseudo_labels
+from vicinalda.model import (
+    RATIO_GRID,
+    emp_forward,
+    encode,
+    init_model,
+    logits_of,
+    params_checksum,
+    pseudo_labels,
+)
 from vicinalda.vicinal import (
     RatioVector,
+    _pair_grid_logits,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
@@ -25,6 +34,7 @@ from vicinalda.vicinal import (
 )
 
 from test_diffcore import assert_grads_close, finite_difference_grads, run_backward
+from test_model import perturbed_model
 
 
 def random_batch(rng, m=6, d=3, n=3):
@@ -192,6 +202,35 @@ class TestEmpSoftAndArgmax:
 
         logits = _pair_grid_logits(p, batch).data
         expected = RATIO_GRID.values[logits.argmax(axis=1)]
+        assert np.array_equal(emp_argmax(p, batch).values, expected)
+
+
+# (d, n_classes, feat_dim, hidden, batch rows): the default two-moons step
+# and the wide blobs step, whose 512-row batch spans two forward blocks
+TAPE_FREE_CASES = [
+    pytest.param(2, 2, 32, 64, 64, id="default"),
+    pytest.param(16, 5, 64, 256, 512, id="wide"),
+]
+
+
+class TestTapeFreeRatioMachinery:
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TAPE_FREE_CASES)
+    def test_grid_table_matches_taped_per_ratio_loop(self, d, n_classes, feat_dim, hidden, m):
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
+        oracle = np.empty((m, len(RATIO_GRID.values)))
+        for k, lam_k in enumerate(RATIO_GRID.values):
+            logits = logits_of(p, mix(batch.xs, batch.xt, ratios(np.full(m, lam_k)))).data
+            oracle[:, k] = dc.entropy_rows_np(logits)
+        assert np.array_equal(grid_entropy_table(p, batch), oracle)
+
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TAPE_FREE_CASES)
+    def test_argmax_matches_taped_grid_logits(self, d, n_classes, feat_dim, hidden, m):
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
+        taped = emp_forward(p, encode(p, batch.xs).detach(), encode(p, batch.xt).detach()).data
+        assert np.array_equal(_pair_grid_logits(p, batch).data, taped)
+        expected = RATIO_GRID.values[np.argmax(taped, axis=1)]
         assert np.array_equal(emp_argmax(p, batch).values, expected)
 
 
