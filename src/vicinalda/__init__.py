@@ -53,7 +53,6 @@ from .model import (
 from .trainer import MetricsRow, TrainConfig, covi_step, evaluate, train, warmup
 from .vicinal import (
     RatioVector,
-    VicinalBatch,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
@@ -70,7 +69,7 @@ __all__ = [
     "dump_csv", "load_csv", "make_blobs_pair", "make_two_moons_pair",
     "RATIO_GRID", "ModelParams", "RatioGrid", "classify", "emp_forward",
     "encode", "init_model", "load_checkpoint", "pseudo_labels", "save_checkpoint",
-    "RatioVector", "VicinalBatch", "brute_force_emp", "emp_argmax",
+    "RatioVector", "brute_force_emp", "emp_argmax",
     "emp_learner_loss", "emp_mixup_loss", "emp_soft", "mix", "mix_labels",
     "ContrastivePair", "Top2", "build_contrastive_pairs", "confidence_mask",
     "contrastive_loss", "top2_of",

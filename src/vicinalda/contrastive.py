@@ -21,7 +21,7 @@ from . import diffcore as dc
 from .diffcore import ContractError, Tensor
 from .domains import DomainBatch
 from .model import ModelParams, forward_np, logits_of, one_hot_argmax
-from .vicinal import RatioVector, mix, ratios
+from .vicinal import RatioVector, mix_np, ratios
 
 
 def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -84,13 +84,13 @@ def build_contrastive_pairs(
     keep = (lam_sd_all >= space_sd) & (lam_td_all <= space_td) & np.asarray(mask, dtype=bool)
     idx = np.nonzero(keep)[0]
 
-    xs = Tensor(batch.xs.data[idx])
-    xt = Tensor(batch.xt.data[idx])
+    xs = batch.xs.data[idx]
+    xt = batch.xt.data[idx]
     lam_sd = ratios(lam_sd_all[idx])
     lam_td = ratios(lam_td_all[idx])
     return ContrastivePair(
-        x_sd=mix(xs, xt, lam_sd),
-        x_td=mix(xs, xt, lam_td),
+        x_sd=Tensor(mix_np(xs, xt, lam_sd.values[:, None])),
+        x_td=Tensor(mix_np(xs, xt, lam_td.values[:, None])),
         lam_sd=lam_sd,
         lam_td=lam_td,
         kept_indices=idx,

@@ -3,11 +3,12 @@
 A deliberately small tape engine: float64 numpy storage, eager ops that
 record a vector-Jacobian product per node, topological-order backward,
 and SGD with momentum. The op set is exactly what the adaptation method
-needs (affine layers, ReLU, concatenation, row gathering, softmax, and
-the two losses), nothing more.
+needs (fused affine and affine+ReLU layers, concatenation, row gathering,
+softmax, and the two losses), nothing more.
 
 Tracked tensors are never mutated in place; the only writers of raw
-buffers are the optimizer (parameters, velocities) and backward (grad).
+buffers are the optimizer (parameters, velocities) and backward (the
+grad of leaf tensors).
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ class ContractError(ValueError):
 class Tensor:
     """Dense float64 array with optional gradient tracking.
 
-    `data` is row-major float64. `grad` is lazily allocated by backward()
-    and accumulates additively until cleared. Nodes produced by ops carry
-    `_parents` and `_vjp`, the vector-Jacobian product mapping the output
-    gradient to one gradient array per parent.
+    `data` is row-major float64. Nodes produced by ops carry `_parents`
+    and `_vjp`, the vector-Jacobian product mapping the output gradient to
+    one gradient array per parent (None for a parent that needs none).
+    Tensors without a `_vjp` are leaves: parameters and other tracked
+    inputs. backward() writes `grad` on leaves only, allocating it lazily
+    and accumulating additively until cleared; op outputs keep grad None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -168,6 +171,56 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _node(out, (a, b), vjp)
+
+
+def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b on plain arrays, the bias added in place. Every affine
+    layer, taped or not, computes this, so both forwards agree bit for bit
+    (an in-place add rounds exactly like a fresh one)."""
+    a = x @ w
+    a += b
+    return a
+
+
+def relu_np(a: np.ndarray) -> np.ndarray:
+    """ReLU on a plain array; np.maximum would differ on -0.0 and nan."""
+    return np.where(a > 0.0, a, 0.0)
+
+
+def _affine_node(x, w, b, rectify: bool) -> Tensor:
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {x.shape} and {w.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {x.shape} x {w.shape}")
+    out = affine_np(x.data, w.data, b.data)
+    mask = None
+    if rectify:
+        mask = out > 0.0
+        out = np.where(mask, out, 0.0)
+
+    def vjp(g):
+        if mask is not None:
+            g = g * mask
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _node(out, (x, w, b), vjp)
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one tape node. Its VJP computes only the gradients of
+    the operands that require one."""
+    return _affine_node(x, w, b, rectify=False)
+
+
+def affine_relu(x, w, b) -> Tensor:
+    """relu(x @ w + b) as one tape node, with the values and gradients of
+    the matmul -> add -> relu chain."""
+    return _affine_node(x, w, b, rectify=True)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -323,11 +376,15 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every tracked node.
+    """Accumulate d(loss)/d(leaf) into .grad for every tracked leaf.
 
-    Repeated calls without zeroing accumulate additively. Propagation uses
-    a per-call table so earlier accumulated grads never feed back into the
-    current pass.
+    Only leaves (tensors without a VJP, i.e. parameters and tracked
+    inputs) receive .grad; op outputs keep grad None. Repeated calls
+    without zeroing accumulate additively. Propagation uses a per-call
+    table so earlier accumulated grads never feed back into the current
+    pass; a node's incoming gradient leaves the table once its VJP has
+    run, and a None parent gradient (one its VJP did not compute) is
+    skipped.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -352,17 +409,17 @@ def backward(loss: Tensor) -> None:
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = flowing.get(id(node))
+        g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._vjp is None:
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad = node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             if key in flowing:

@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import ContractError, ShapeError, Tensor, concat_cols, matmul, relu
+from .diffcore import (
+    ContractError,
+    ShapeError,
+    Tensor,
+    affine,
+    affine_np,
+    affine_relu,
+    concat_cols,
+    relu_np,
+)
 
 CHECKPOINT_MAGIC = b"VDACKPT1"
 CHECKPOINT_VERSION = 1
@@ -135,23 +145,22 @@ def encode(p: ModelParams, x: Tensor) -> Tensor:
     """Instance features: ReLU hidden layer, linear feature layer."""
     if x.data.ndim != 2 or x.data.shape[1] != p.d:
         raise ShapeError(f"encode expects [m x {p.d}], got {x.shape}")
-    h = relu(matmul(x, p.enc_w1) + p.enc_b1)
-    return matmul(h, p.enc_w2) + p.enc_b2
+    return affine(affine_relu(x, p.enc_w1, p.enc_b1), p.enc_w2, p.enc_b2)
 
 
 def classify(p: ModelParams, z: Tensor) -> Tensor:
     """Class logits from features; a single affine layer."""
     if z.data.ndim != 2 or z.data.shape[1] != p.feat_dim:
         raise ShapeError(f"classify expects [m x {p.feat_dim}], got {z.shape}")
-    return matmul(z, p.cls_w) + p.cls_b
+    return affine(z, p.cls_w, p.cls_b)
 
 
 def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
     """Grid logits for each source/target feature pair, one row per pair."""
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    h = relu(matmul(concat_cols(zs, zt), p.emp_w1) + p.emp_b1)
-    return matmul(h, p.emp_w2) + p.emp_b2
+    h = affine_relu(concat_cols(zs, zt), p.emp_w1, p.emp_b1)
+    return affine(h, p.emp_w2, p.emp_b2)
 
 
 def logits_of(p: ModelParams, x: Tensor) -> Tensor:
@@ -196,21 +205,14 @@ def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The plain-array layers repeat the taped ops in the taped order (x @ w,
-# then + b, then np.where(a > 0.0, a, 0.0)) so both forwards agree bit for
-# bit; np.maximum would differ from the taped relu on -0.0 and nan.
+# The plain-array layers run the taped nodes' own array steps
+# (diffcore.affine_np, diffcore.relu_np), so both forwards agree bit for bit.
 def _affine_np(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    a = x @ w.data
-    a += b.data
-    return a
-
-
-def _relu_np(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0.0, a, 0.0)
+    return affine_np(x, w.data, b.data)
 
 
 def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _affine_np(_relu_np(_affine_np(x, p.enc_w1, p.enc_b1)), p.enc_w2, p.enc_b2)
+    return _affine_np(relu_np(_affine_np(x, p.enc_w1, p.enc_b1)), p.enc_w2, p.enc_b2)
 
 
 def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -249,7 +251,7 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     """
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    h = _relu_np(_affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1, p.emp_b1))
+    h = relu_np(_affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1, p.emp_b1))
     return _affine_np(h, p.emp_w2, p.emp_b2)
 
 
@@ -267,7 +269,8 @@ def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
 
 
 def save_checkpoint(p: ModelParams, path: str) -> None:
-    """Single-file checkpoint: magic, JSON header, raw float64 arrays."""
+    """Single-file checkpoint: magic, JSON header, raw float64 arrays.
+    Written atomically: via `<path>.tmp`, then os.replace."""
     arrays = [(name, t.data) for name, t in p.named_params()]
     header = {
         "version": CHECKPOINT_VERSION,
@@ -276,12 +279,21 @@ def save_checkpoint(p: ModelParams, path: str) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # written beside the target and renamed over it, so a write that fails
+    # part-way leaves the previous checkpoint, never a truncated one
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> ModelParams:

@@ -290,13 +290,15 @@ def _check_finite(value: float, phase: str, step: int, cfg: TrainConfig, p: Mode
         _abort_diverged(f"non-finite loss in phase {phase!r} (value {value!r})", step, cfg, p)
 
 
-def _check_params_finite(step: int, cfg: TrainConfig, p: ModelParams):
+def _check_params_finite(step: int, cfg: TrainConfig, p: ModelParams, after: str = ""):
     # losses can fail confusingly once parameters go non-finite (relu maps
     # nan to 0, softmax of inf logits yields nan targets), so catch the
-    # blowup at the parameters before any phase runs
+    # blowup at the parameters before any phase runs; `after` names the
+    # phase that produced them when it is not the adaptation step
     for name, t in p.named_params():
         if not np.all(np.isfinite(t.data)):
-            _abort_diverged(f"non-finite values in parameter {name}", step, cfg, p)
+            where = f" after {after}" if after else ""
+            _abort_diverged(f"non-finite values in parameter {name}{where}", step, cfg, p)
 
 
 def covi_step(
@@ -448,6 +450,8 @@ def train(cfg: TrainConfig) -> tuple[ModelParams, str]:
             seed=seeds.model,
         )
         warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
+        # a diverged warm-up aborts before it can leave a checkpoint behind
+        _check_params_finite(0, cfg, p, after="warm-up")
         save_checkpoint(p, os.path.join(cfg.out_dir, "checkpoint_warmup.ckpt"))
 
         opt_theta = SGD(p.theta_params(), lr=cfg.lr, momentum=cfg.momentum)

@@ -55,15 +55,6 @@ def ratios(values) -> RatioVector:
     return RatioVector(lam=Tensor(np.asarray(values, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
-class VicinalBatch:
-    """A mixed batch with its soft labels and the ratios that produced it."""
-
-    x_mix: Tensor
-    y_mix: Tensor
-    lam: RatioVector
-
-
 def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
     """Row-wise convex combination (1 - lam) * xs + lam * xt.
 
@@ -79,8 +70,9 @@ def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
 
 
 def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
-    """Plain-array mix with one ratio or a column of per-row ratios; the
-    same values as `mix`, bit for bit."""
+    """Plain-array mix with one ratio, a column of per-row ratios, or a
+    stack of ratios that broadcasts against the rows; the same values as
+    `mix`, bit for bit."""
     return (1.0 - lam) * xs + lam * xt
 
 
@@ -90,25 +82,21 @@ def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     return Tensor((1.0 - lam_col) * ys.data + lam_col * yt_hat.data)
 
 
-def make_vicinal_batch(batch: DomainBatch, yt_hat: Tensor, lam: RatioVector) -> VicinalBatch:
-    return VicinalBatch(
-        x_mix=mix(batch.xs, batch.xt, lam),
-        y_mix=mix_labels(batch.ys, yt_hat, lam),
-        lam=lam,
-    )
-
-
 def grid_entropy_table(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> np.ndarray:
     """Per-pair prediction entropy at every grid ratio, shape [m x 11].
 
     Plain-array computation, no tape; this is the exhaustive view of the
-    entropy landscape the ratio learner is trained to summarize.
+    entropy landscape the ratio learner is trained to summarize. All 11
+    mixes go through one stacked [11m x d] forward, ratio-major, with the
+    same elementwise mix as one forward per ratio; the row-blocked forward
+    gives each row the bits it has in a per-ratio forward.
     """
-    xs, xt = batch.xs.data, batch.xt.data
-    table = np.empty((batch.m, len(grid.values)))
-    for k, lam_k in enumerate(grid.values):
-        table[:, k] = dc.entropy_rows_np(forward_np(p, mix_np(xs, xt, lam_k)))
-    return table
+    k = len(grid.values)
+    mixes = mix_np(batch.xs.data, batch.xt.data, grid.values[:, None, None])
+    entropies = dc.entropy_rows_np(forward_np(p, mixes.reshape(k * batch.m, -1)))
+    # C order: numpy sums the rows of a transposed view in another order,
+    # which would move the bits of the row statistics taken from the table
+    return np.ascontiguousarray(entropies.reshape(k, batch.m).T)
 
 
 def brute_force_emp(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> RatioVector:
@@ -187,7 +175,6 @@ def emp_mixup_loss(p: ModelParams, batch: DomainBatch, lam_star: RatioVector) ->
     lam_star is treated as a constant; pseudo labels carry no gradient, so
     the gradient reaches theta only.
     """
-    lam_const = ratios(lam_star.values)
-    yt_hat = pseudo_labels(p, batch.xt)
-    vb = make_vicinal_batch(batch, yt_hat, lam_const)
-    return dc.cross_entropy(logits_of(p, vb.x_mix), vb.y_mix)
+    x_mix = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
+    y_mix = mix_labels(batch.ys, pseudo_labels(p, batch.xt), lam_star)
+    return dc.cross_entropy(logits_of(p, Tensor(x_mix)), y_mix)

@@ -89,6 +89,43 @@ class TestMatmul:
         assert_grads_close(run_backward(fn, [a, b]), finite_difference_grads(fn, [a, b]))
 
 
+class TestAffine:
+    def test_values_match_the_unfused_chain(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(7, 4)))
+        w = Tensor(rng.normal(size=(4, 5)))
+        b = Tensor(rng.normal(size=5))
+        assert np.array_equal(dc.affine(x, w, b).data, (matmul(x, w) + b).data)
+        assert np.array_equal(dc.affine_relu(x, w, b).data, dc.relu(matmul(x, w) + b).data)
+
+    @pytest.mark.parametrize("op", [dc.affine, dc.affine_relu], ids=["affine", "affine_relu"])
+    def test_gradients_of_every_operand(self, op):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(scale=0.5, size=5), requires_grad=True)
+        const = rng.normal(size=(4, 5))
+        fn = lambda: dc.tsum(op(x, w, b) * Tensor(const))
+        params = [x, w, b]
+        assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
+
+    @pytest.mark.parametrize("op", [dc.affine, dc.affine_relu], ids=["affine", "affine_relu"])
+    def test_vjp_skips_operands_without_grad(self, op):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5))
+        gx, gw, gb = op(x, w, b)._vjp(np.ones((4, 5)))
+        assert gx is None and gb is None
+        assert gw.shape == (3, 5)
+
+    def test_shape_errors_keep_the_matmul_messages(self):
+        with pytest.raises(ShapeError, match="inner dimensions disagree"):
+            dc.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="expects 2-D operands"):
+            dc.affine_relu(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+
+
 class TestSoftmax:
     def test_uniform_rows(self):
         out = softmax(Tensor([[2.0, 2.0, 2.0, 2.0]]))
@@ -202,6 +239,20 @@ class TestBackward:
         backward(dc.tsum(y + y))
         assert np.allclose(x.grad, [8.0], atol=1e-12)
 
+    def test_only_leaves_receive_grad(self):
+        rng = np.random.default_rng(22)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 3)))  # a constant input
+        h = dc.affine_relu(x, w, b)
+        z = dc.relu(matmul(x, w) + b)
+        loss = dc.tmean(h * z)
+        backward(loss)
+        assert w.grad is not None and b.grad is not None
+        assert x.grad is None
+        for node in (h, z, loss):
+            assert node.requires_grad and node.grad is None
+
     def test_grads_finite_after_composite_graph(self):
         rng = np.random.default_rng(21)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -220,6 +271,7 @@ def random_small_graph(rng):
     w1 = Tensor(rng.normal(scale=0.7, size=(d, hdim)), requires_grad=True)
     b1 = Tensor(rng.normal(scale=0.1, size=hdim), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(hdim, n)), requires_grad=True)
+    b2 = Tensor(rng.normal(scale=0.1, size=n), requires_grad=True)
     mix_w = Tensor(rng.normal(scale=0.5, size=(2 * n, n)))
     x = Tensor(rng.normal(size=(m, d)))
     extra = Tensor(rng.normal(size=(m, n)))
@@ -228,7 +280,9 @@ def random_small_graph(rng):
 
     def fn():
         h = dc.relu(matmul(x, w1) + b1)
-        z = matmul(h, w2)
+        # the fused nodes over the same parameters, with a tracked input
+        # (h) into the second one
+        z = matmul(h, w2) + dc.affine(dc.affine_relu(x, w1, b1) + h, w2, b2)
         gathered = dc.take_rows(z, idx)
         wide = dc.concat_cols(gathered, extra * 0.5)
         logits = matmul(dc.reshape(wide, (m, 2 * n)), mix_w)
@@ -236,7 +290,7 @@ def random_small_graph(rng):
         ent = entropy(dc.softmax(logits) * 3.0 + 0.1)
         return ce + 0.5 * ent + 0.01 * dc.tmean(w2 * w2) - 0.02 * dc.tsum(dc.neg(b1))
 
-    return fn, [w1, b1, w2]
+    return fn, [w1, b1, w2, b2]
 
 
 class TestFiniteDifferenceProperty:

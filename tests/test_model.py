@@ -1,5 +1,7 @@
 """Tests for the model: parameter groups, forwards, checkpointing."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,102 @@ class TestTapeFreeForward:
             encode_np(p, np.zeros(3))
 
 
+def unfused_logits_of(p, x):
+    """logits_of as the matmul -> add -> relu chain of separate nodes."""
+    h = dc.relu(dc.matmul(x, p.enc_w1) + p.enc_b1)
+    z = dc.matmul(h, p.enc_w2) + p.enc_b2
+    return dc.matmul(z, p.cls_w) + p.cls_b
+
+
+def unfused_emp_forward(p, zs, zt):
+    h = dc.relu(dc.matmul(dc.concat_cols(zs, zt), p.emp_w1) + p.emp_b1)
+    return dc.matmul(h, p.emp_w2) + p.emp_b2
+
+
+def one_hot_rows(rng, m, n):
+    return np.eye(n)[rng.integers(0, n, m)]
+
+
+def single_loss(logits, p, rng, m):
+    x = Tensor(rng.normal(size=(m, p.d)))
+    return dc.cross_entropy(logits(p, x), one_hot_rows(rng, m, p.n_classes))
+
+
+def two_view_loss(logits, p, rng, m):
+    # contrastive-style: two forwards at this theta, one summed loss
+    x_sd, x_td = (Tensor(rng.normal(size=(m, p.d))) for _ in range(2))
+    y_sd, y_td = (one_hot_rows(rng, m, p.n_classes) for _ in range(2))
+    return dc.cross_entropy(logits(p, x_td), y_td) + dc.cross_entropy(logits(p, x_sd), y_sd)
+
+
+def five_view_loss(logits, p, rng, m):
+    # summed_theta_update-style: mixup, both contrastive views and both
+    # consensus views (row-gathered) in one weighted sum
+    xs = [Tensor(rng.normal(size=(m, p.d))) for _ in range(5)]
+    ys = [one_hot_rows(rng, m, p.n_classes) for _ in range(5)]
+    kept = np.nonzero(rng.uniform(size=m) > 0.3)[0]
+    mixup = dc.cross_entropy(logits(p, xs[0]), ys[0]) * 1.0
+    ct = dc.cross_entropy(logits(p, xs[1]), ys[1]) + dc.cross_entropy(logits(p, xs[2]), ys[2])
+    cs = dc.cross_entropy(dc.take_rows(logits(p, xs[3]), kept), ys[3][kept]) + dc.cross_entropy(
+        dc.take_rows(logits(p, xs[4]), kept), ys[4][kept]
+    )
+    return mixup + ct * 0.5 + cs * 2.0
+
+
+def phi_loss(emp, p, rng, m):
+    zs, zt = (Tensor(rng.normal(size=(m, p.feat_dim))) for _ in range(2))
+    target = dc.softmax_np(rng.normal(size=(m, 11)))
+    return dc.neg(dc.cross_entropy(emp(p, zs, zt), target))
+
+
+def grads_of(p, build_loss, fn, seed, m):
+    for _, t in p.named_params():
+        t.zero_grad()
+    backward(build_loss(fn, p, np.random.default_rng(seed), m))
+    return {name: t.grad for name, t in p.named_params()}
+
+
+# (d, n_classes, feat_dim, hidden, batch rows) of the two training workloads
+TRAIN_SHAPES = [
+    pytest.param(2, 2, 32, 64, 64, id="default"),
+    pytest.param(16, 5, 64, 256, 512, id="wide"),
+]
+
+
+class TestFusedTape:
+    @pytest.mark.parametrize("build_loss", [single_loss, two_view_loss, five_view_loss],
+                             ids=["one", "two", "five"])
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TRAIN_SHAPES)
+    def test_theta_grads_equal_the_unfused_chain(self, d, n_classes, feat_dim, hidden, m,
+                                                 build_loss):
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        fused = grads_of(p, build_loss, logits_of, m, m)
+        unfused = grads_of(p, build_loss, unfused_logits_of, m, m)
+        for name in ("enc_w1", "enc_b1", "enc_w2", "enc_b2", "cls_w", "cls_b"):
+            assert np.array_equal(fused[name], unfused[name]), name
+        assert all(fused[t] is None for t in ("emp_w1", "emp_b1", "emp_w2", "emp_b2"))
+
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TRAIN_SHAPES)
+    def test_phi_grads_equal_the_unfused_chain(self, d, n_classes, feat_dim, hidden, m):
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        fused = grads_of(p, phi_loss, emp_forward, m, m)
+        unfused = grads_of(p, phi_loss, unfused_emp_forward, m, m)
+        for name in ("emp_w1", "emp_b1", "emp_w2", "emp_b2"):
+            assert np.array_equal(fused[name], unfused[name]), name
+
+    def test_one_node_per_layer_and_leaf_only_grads(self):
+        p = small_model()
+        x = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
+        z = encode(p, x)
+        hidden = z._parents[0]
+        assert z._parents[1:] == (p.enc_w2, p.enc_b2)
+        assert hidden._parents == (x, p.enc_w1, p.enc_b1)
+        backward(dc.tmean(classify(p, z)))
+        assert z.grad is None and hidden.grad is None
+        assert x.grad is None
+        assert all(t.grad is not None for t in p.theta_params())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         p = init_model(d=2, n_classes=2, seed=42)
@@ -305,6 +403,18 @@ class TestCheckpoint:
             fh.write(swapped)
         with pytest.raises(ContractError, match="do not match"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(small_model(0), path)
+        before = open(path, "rb").read()
+        broken = small_model(1)
+        # the header and the first arrays are written before this one fails
+        broken.cls_b.data = np.array(["not a float"] * 4, dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, path)
+        assert open(path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
     def test_copy_params_is_deep(self):
         p = small_model()

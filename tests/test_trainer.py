@@ -385,6 +385,13 @@ class TestTrain:
         with pytest.raises(OSError):
             train(cfg)
 
+    def test_diverged_warmup_writes_no_checkpoint(self, tmp_path):
+        cfg = tiny_cfg(lr=1e150, warmup_epochs=2, covi_epochs=1, out_dir=str(tmp_path))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="after warm-up"):
+            train(cfg)
+        assert not (tmp_path / "checkpoint_warmup.ckpt").exists()
+        assert "after warm-up" in (tmp_path / "diverged_step_0.txt").read_text()
+
     def test_checkpoint_every_epoch_writes_files(self, tmp_path):
         cfg = tiny_cfg(covi_epochs=2, checkpoint_every=1, out_dir=str(tmp_path))
         train(cfg)

@@ -12,6 +12,7 @@ from vicinalda.model import (
     RATIO_GRID,
     emp_forward,
     encode,
+    forward_np,
     init_model,
     logits_of,
     params_checksum,
@@ -27,9 +28,9 @@ from vicinalda.vicinal import (
     emp_soft,
     grid_entropy_table,
     grid_profile_target,
-    make_vicinal_batch,
     mix,
     mix_labels,
+    mix_np,
     ratios,
 )
 
@@ -99,14 +100,17 @@ class TestMixLabels:
         assert out.data.sum() == 1.0
 
     def test_vicinal_batch_invariants(self):
+        # the mixed rows and soft labels emp_mixup_loss trains on
         rng = np.random.default_rng(3)
         batch = random_batch(rng)
         p = init_model(d=3, n_classes=3, seed=0)
         lam = ratios(rng.uniform(0, 1, batch.m))
-        vb = make_vicinal_batch(batch, pseudo_labels(p, batch.xt), lam)
+        x_mix = mix_np(batch.xs.data, batch.xt.data, lam.values[:, None])
+        y_mix = mix_labels(batch.ys, pseudo_labels(p, batch.xt), lam)
         expected = (1 - lam.values[:, None]) * batch.xs.data + lam.values[:, None] * batch.xt.data
-        assert np.array_equal(vb.x_mix.data, expected)
-        assert np.max(np.abs(vb.y_mix.data.sum(axis=1) - 1.0)) < 1e-9
+        assert np.array_equal(x_mix, expected)
+        assert np.array_equal(x_mix, mix(batch.xs, batch.xt, lam).data)
+        assert np.max(np.abs(y_mix.data.sum(axis=1) - 1.0)) < 1e-9
 
 
 class TestBruteForce:
@@ -223,6 +227,29 @@ class TestTapeFreeRatioMachinery:
             logits = logits_of(p, mix(batch.xs, batch.xt, ratios(np.full(m, lam_k)))).data
             oracle[:, k] = dc.entropy_rows_np(logits)
         assert np.array_equal(grid_entropy_table(p, batch), oracle)
+
+    @pytest.mark.parametrize(
+        "d,n_classes,feat_dim,hidden,m",
+        TAPE_FREE_CASES + [pytest.param(16, 5, 64, 256, 100, id="wide-100")],
+    )
+    def test_stacked_grid_table_matches_per_ratio_forwards(
+        self, d, n_classes, feat_dim, hidden, m
+    ):
+        # one forward per ratio; at m = 512 each ratio fills two whole row
+        # blocks of the stacked forward, at m = 100 blocks straddle ratios
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        batch = random_batch(np.random.default_rng(m + 1), m=m, d=d, n=n_classes)
+        oracle = np.stack(
+            [
+                dc.entropy_rows_np(forward_np(p, mix_np(batch.xs.data, batch.xt.data, lam_k)))
+                for lam_k in RATIO_GRID.values
+            ],
+            axis=1,
+        )
+        table = grid_entropy_table(p, batch)
+        assert np.array_equal(table, oracle)
+        # the row statistics the learner's target takes keep their bits too
+        assert np.array_equal(grid_profile_target(table), grid_profile_target(oracle))
 
     @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TAPE_FREE_CASES)
     def test_argmax_matches_taped_grid_logits(self, d, n_classes, feat_dim, hidden, m):
