@@ -102,6 +102,14 @@ class TrainConfig:
             raise ContractError("loss weights must be >= 0")
         if not 0.0 <= self.lam_p <= 0.5:
             raise ContractError(f"lam_p must lie in [0, 0.5], got {self.lam_p}")
+        # the bounds the generators and init_model enforce, checked here so
+        # that a refused run writes nothing under out_dir
+        for name, low in (("n_per_domain", 4), ("blob_classes", 2), ("blob_dim", 2),
+                          ("feat_dim", 1), ("hidden", 1), ("hidden_g", 1)):
+            if getattr(self, name) < low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.noise_std < 0.0:
+            raise ContractError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.warmup_epochs < 1:
             raise ContractError("warmup_epochs must be >= 1")
         if self.covi_epochs < 0:

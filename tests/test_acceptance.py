@@ -6,6 +6,7 @@ multi-seed training artifacts are built once per module.
 """
 
 import hashlib
+import os
 import time
 
 import numpy as np
@@ -493,11 +494,34 @@ GOLDEN_METRICS_SHA256 = {
 }
 
 
+# sha256 of checkpoint_final.ckpt for the same runs. metrics.csv prints
+# 6 decimals, so a last-bit change to a parameter can keep its digest;
+# the checkpoint holds every parameter bit. Same BLAS caveat as above.
+GOLDEN_FINAL_CHECKPOINT_SHA256 = {
+    0: "f532339a3b1ea2afaf69ea87b97b605ef28a97eff87481a8e2402b4cd8e721f2",
+    1: "05f0676c05fa821fa019bf389c5c9945891162e2fec51fa705b2b9a9f0d76763",
+    2: "c4dc4404c6dcb25e7ba0ab8ce21f494a757e1707164cbde85e1cd18106b1fbec",
+    3: "8a3f0e4ad38e1ef099bbe04745d9c9838ff61b16c3d5899d90a281c22cd08927",
+    4: "90c45fc98dd1156d29ec0dcb3c70730f54f866e29bdb53dd9d53e3c403782f5d",
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_default_metrics_match_golden_digests(default_runs):
     for run in default_runs["runs"]:
-        with open(run["metrics_path"], "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        digest = _sha256(run["metrics_path"])
         assert digest == GOLDEN_METRICS_SHA256[run["seed"]], f"seed {run['seed']}"
+
+
+def test_default_final_checkpoints_match_golden_digests(default_runs):
+    for run in default_runs["runs"]:
+        path = os.path.join(os.path.dirname(run["metrics_path"]), "checkpoint_final.ckpt")
+        digest = _sha256(path)
+        assert digest == GOLDEN_FINAL_CHECKPOINT_SHA256[run["seed"]], f"seed {run['seed']}"
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -59,6 +59,13 @@ class TestUsageErrors:
         assert "lr must be finite" in res.stderr
         assert not (out / "checkpoint_warmup.ckpt").exists()
 
+    def test_bad_dimension_exits_2_without_metrics(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("train", "--set", "hidden=0", "--out", str(out))
+        assert res.returncode == 2
+        assert "hidden must be >= 1" in res.stderr
+        assert not (out / "metrics.csv").exists()
+
     def test_eval_without_checkpoint_exits_1(self, tmp_path):
         res = run_cli("eval", "--out", str(tmp_path), *TINY)
         assert res.returncode == 1

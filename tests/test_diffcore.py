@@ -126,6 +126,66 @@ class TestAffine:
             dc.affine_relu(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
 
 
+def select_relu(a):
+    """The select that relu_np must reproduce bit for bit (the taped relu)."""
+    return np.where(a > 0.0, a, 0.0)
+
+
+def assert_same_bits(got, want):
+    # np.array_equal calls -0.0 equal to +0.0 and nan unequal to itself
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SPECIAL_VALUES = np.array([
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072009e-308, -2.2250738585072009e-308, 1e300, -1e300, 1.0, -1.0,
+])
+
+
+class TestReluNp:
+    # numpy runs short and long arrays through different fmax loops, and
+    # some of them keep -0.0, so every test covers several lengths
+    @pytest.mark.parametrize("n", [1, 3, 8, 16, 17, 100, 1000])
+    def test_special_values_bitwise(self, n):
+        a = np.resize(SPECIAL_VALUES, n)
+        alone = [np.full(n, v) for v in SPECIAL_VALUES]
+        for case in [a, np.roll(a, 1), a[::-1].copy(), *alone]:
+            assert_same_bits(dc.relu_np(case), select_relu(case))
+
+    def test_random_arrays_over_all_scales(self):
+        rng = np.random.default_rng(61)
+        for trial in range(300):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            scale = 10.0 ** rng.uniform(-300, 300)
+            a = rng.normal(size=shape) * scale
+            specials = rng.random(shape) < 0.2
+            a[specials] = rng.choice(SPECIAL_VALUES, size=int(specials.sum()))
+            assert_same_bits(dc.relu_np(a), select_relu(a))
+
+    def test_returns_a_new_array_and_leaves_the_input(self):
+        a = np.resize(SPECIAL_VALUES, (4, 7))
+        before = a.copy()
+        out = dc.relu_np(a)
+        assert out is not a and not np.shares_memory(out, a)
+        assert_same_bits(a, before)
+
+    def test_affine_relu_bits_match_the_unfused_chain(self):
+        # the -0.0 rows: (-1e-200 * 1e-200) underflows to -0.0 and adds to
+        # -0.0 * 1.0; the nan rows come from a nan input and from inf - inf
+        x = np.array([[-1e-200, 1.0], [1e-200, -1.0], [np.nan, 1.0],
+                      [np.inf, 1.0], [3.0, -2.0], [0.0, 0.0]])
+        w = np.array([[1e-200, -1.0, 2.0, 1.0], [-0.0, -0.0, 1.0, 2.0]])
+        b = np.array([-0.0, -0.0, 0.5, -np.inf])
+        with np.errstate(invalid="ignore"):
+            pre = dc.affine_np(x, w, b)
+            fused = dc.affine_relu(Tensor(x), Tensor(w), Tensor(b)).data
+            chain = dc.relu(matmul(Tensor(x), Tensor(w)) + Tensor(b)).data
+        assert (np.signbit(pre) & (pre == 0.0)).any() and np.isnan(pre).any()
+        assert_same_bits(fused, chain)
+        assert_same_bits(fused, select_relu(pre))
+
+
 class TestSoftmax:
     def test_uniform_rows(self):
         out = softmax(Tensor([[2.0, 2.0, 2.0, 2.0]]))

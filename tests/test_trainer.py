@@ -117,6 +117,24 @@ class TestConfig:
         with pytest.raises(ContractError, match=f"{key} must be finite"):
             build_config(None, overrides=[f"{key}={value}"])
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(hidden=0), "hidden must be >= 1, got 0"),
+            (dict(hidden_g=0), "hidden_g must be >= 1, got 0"),
+            (dict(feat_dim=0), "feat_dim must be >= 1, got 0"),
+            (dict(dataset="blobs", blob_classes=1), "blob_classes must be >= 2, got 1"),
+            (dict(dataset="blobs", blob_dim=1), "blob_dim must be >= 2, got 1"),
+            (dict(noise_std=-1.0), "noise_std must be >= 0, got -1.0"),
+            (dict(n_per_domain=3, batch_size=2), "n_per_domain must be >= 4, got 3"),
+        ],
+    )
+    def test_bad_dimensions_refused_before_any_output(self, tmp_path, kw, message):
+        out = tmp_path / "run"
+        with pytest.raises(ContractError, match=message):
+            train(TrainConfig(out_dir=str(out), **kw))
+        assert not (out / "metrics.csv").exists()
+
     def test_echo_reproduces_every_field(self):
         echo = config_echo(TrainConfig())
         assert "lr = 0.01" in echo
