@@ -33,15 +33,12 @@ from .domains import (
     DomainBatch,
     DomainBatcher,
     DomainPairDataset,
-    dump_csv,
-    load_csv,
     make_blobs_pair,
     make_two_moons_pair,
 )
 from .model import (
     RATIO_GRID,
     ModelParams,
-    RatioGrid,
     classify,
     emp_forward,
     encode,
@@ -57,7 +54,6 @@ from .vicinal import (
     emp_argmax,
     emp_learner_loss,
     emp_mixup_loss,
-    emp_soft,
     mix,
     mix_labels,
 )
@@ -66,11 +62,11 @@ __all__ = [
     "SGD", "ContractError", "ShapeError", "Tensor", "backward",
     "cross_entropy", "entropy", "matmul", "softmax",
     "DomainBatch", "DomainBatcher", "DomainPairDataset",
-    "dump_csv", "load_csv", "make_blobs_pair", "make_two_moons_pair",
-    "RATIO_GRID", "ModelParams", "RatioGrid", "classify", "emp_forward",
+    "make_blobs_pair", "make_two_moons_pair",
+    "RATIO_GRID", "ModelParams", "classify", "emp_forward",
     "encode", "init_model", "load_checkpoint", "pseudo_labels", "save_checkpoint",
     "RatioVector", "brute_force_emp", "emp_argmax",
-    "emp_learner_loss", "emp_mixup_loss", "emp_soft", "mix", "mix_labels",
+    "emp_learner_loss", "emp_mixup_loss", "mix", "mix_labels",
     "ContrastivePair", "Top2", "build_contrastive_pairs", "confidence_mask",
     "contrastive_loss", "top2_of",
     "ConsensusViews", "consensus_labels", "consensus_loss", "make_views",

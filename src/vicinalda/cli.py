@@ -31,7 +31,6 @@ from .trainer import (
     warmup,
 )
 from .vicinal import (
-    RatioVector,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
@@ -134,40 +133,6 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
 # selftest: the oracle suite
 
 
-def _fd_grads(fn, params, h=1e-5):
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat, gflat = p.data.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = fn().item()
-            flat[i] = orig - h
-            f_minus = fn().item()
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def _grads_match(fn, params, rtol=1e-4) -> bool:
-    for p in params:
-        p.zero_grad()
-    backward(fn())
-    analytic = [p.grad.copy() for p in params]
-    for p in params:
-        p.zero_grad()
-    for a, n in zip(analytic, _fd_grads(fn, params)):
-        norm = np.linalg.norm(n)
-        if norm < 1e-8:
-            if np.linalg.norm(a - n) >= 1e-8:
-                return False
-        elif np.linalg.norm(a - n) / norm >= rtol:
-            return False
-    return True
-
-
 def _check_gradients(rng) -> bool:
     for trial in range(10):
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=trial)
@@ -175,17 +140,18 @@ def _check_gradients(rng) -> bool:
         xt = Tensor(rng.normal(size=(4, 3)))
         t = np.zeros((4, 3))
         t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
-        lam_t = Tensor(rng.uniform(0.1, 0.9, 4), requires_grad=True)
+        x_mix = mix(x, xt, ratios(rng.uniform(0.1, 0.9, 4)))
         zs_const = Tensor(encode_np(p, x.data))
         zt_const = Tensor(encode_np(p, xt.data))
-        params = [p.enc_w1, p.enc_b1, p.cls_w, p.emp_w2, lam_t]
+        params = [p.enc_w1, p.enc_b1, p.cls_w, p.emp_w2]
 
         def fn():
-            z = logits_of(p, mix(x, xt, RatioVector(lam=lam_t)))
+            z = logits_of(p, x_mix)
             grid = dc.tmean(dc.softmax(emp_forward(p, zs_const, zt_const)))
             return dc.cross_entropy(z, t) + 0.5 * dc.entropy(z) + grid
 
-        if not _grads_match(fn, params):
+        analytic = dc.backward_grads(fn, params)
+        if dc.grad_mismatches(analytic, dc.finite_difference_grads(fn, params)):
             return False
     return True
 

@@ -30,10 +30,6 @@ class ConsensusViews:
     lam_p: float
     xt: Tensor  # unmixed target rows; the confidence mask is computed on these
 
-    @property
-    def m(self) -> int:
-        return self.x_v1.shape[0]
-
 
 def make_views(batch: DomainBatch, lam_p: float, rng: np.random.Generator) -> ConsensusViews:
     """x_v1 = lam_p*xs + (1-lam_p)*xt, x_v2 the same with shuffled source rows."""

@@ -17,7 +17,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ContractError
 from .domains import DomainPairDataset
-from .model import RATIO_GRID, ModelParams, RatioGrid, forward_np
+from .model import RATIO_GRID, ModelParams, atomic_open, forward_np
 from .vicinal import mix_np
 
 DEFAULT_SWEEP_SAMPLES = 256
@@ -38,7 +38,6 @@ def lambda_sweep(
     p: ModelParams,
     ds: DomainPairDataset,
     n_samples: int = DEFAULT_SWEEP_SAMPLES,
-    grid: RatioGrid = RATIO_GRID,
 ) -> list[SweepRow]:
     """Mix a fixed set of n_samples source/target pairs at every grid ratio.
 
@@ -60,7 +59,7 @@ def lambda_sweep(
     tgt_label = ds.target_y_eval.data[tgt_idx].argmax(axis=1)
 
     rows = []
-    for lam_k in grid.values:
+    for lam_k in RATIO_GRID:
         logits = forward_np(p, mix_np(xs, xt, lam_k))
         top1 = logits.argmax(axis=1)
         rows.append(
@@ -91,31 +90,15 @@ def empirical_emp(sweep: list[SweepRow]) -> tuple[float, float | None]:
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """One header line, then one line per row at 6 decimals; written
+    atomically (`atomic_open`)."""
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
         for r in rows:
             writer.writerow(
                 [f"{r.lam:.6f}", f"{r.mean_entropy:.6f}", f"{r.source_dom:.6f}", f"{r.target_dom:.6f}"]
             )
-
-
-def read_sweep_csv(path: str) -> list[SweepRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_HEADER:
-            raise ContractError(f"unrecognized sweep CSV header: {header}")
-        return [
-            SweepRow(
-                lam=float(rec[0]),
-                mean_entropy=float(rec[1]),
-                source_dom=float(rec[2]),
-                target_dom=float(rec[3]),
-            )
-            for rec in reader
-            if rec
-        ]
 
 
 @dataclass(frozen=True)
@@ -157,7 +140,7 @@ def equilibrium_report(
         return "absent" if v is None else f"{v:.1f}"
 
     summary_path = os.path.join(out_dir, "equilibrium_summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(summary_path) as fh:
         fh.write(
             "checkpoint,entropy_peak_lambda,dominance_flip_lambda\n"
             f"before,{before_emp:.1f},{fmt_flip(before_flip)}\n"

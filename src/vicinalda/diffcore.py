@@ -50,18 +50,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Same data, cut from the tape (no parents, no grad tracking)."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -296,7 +288,9 @@ def tmean(a) -> Tensor:
 # softmax and the two losses
 
 
-def _softmax_np(z: np.ndarray) -> np.ndarray:
+def softmax_np(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a float64 array, stabilized by max subtraction;
+    no tape."""
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -307,7 +301,7 @@ def softmax(logits) -> Tensor:
     a = as_tensor(logits)
     if a.data.ndim != 2 or a.data.shape[1] < 1:
         raise ShapeError(f"softmax expects [m x n] with n >= 1, got {a.shape}")
-    p = _softmax_np(a.data)
+    p = softmax_np(a.data)
 
     def vjp(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -317,12 +311,13 @@ def softmax(logits) -> Tensor:
 
 
 def _check_label_rows(t: np.ndarray) -> None:
-    # the .any() methods, not np.any, which adds a Python-level dispatch
-    # of several microseconds to every loss
-    if (t < -1e-12).any():
-        raise ContractError("label rows must be nonnegative")
+    # each comparison is written so that nan fails it; the .all() methods,
+    # not np.all, which adds a Python-level dispatch of several
+    # microseconds to every loss
+    if not (t >= -1e-12).all():
+        raise ContractError("label rows must be nonnegative, without nan")
     sums = t.sum(axis=1)
-    if (np.abs(sums - 1.0) > 1e-6).any():
+    if not (np.abs(sums - 1.0) <= 1e-6).all():
         raise ContractError("label rows must sum to 1 within 1e-6")
 
 
@@ -339,7 +334,7 @@ def cross_entropy(logits, target) -> Tensor:
         raise ShapeError(f"logits {a.shape} and target {t.shape} shapes disagree")
     _check_label_rows(t)
     m = a.data.shape[0]
-    p = _softmax_np(a.data)
+    p = softmax_np(a.data)
     clipped = np.maximum(p, LOG_EPS)
     value = -(t * np.log(clipped)).sum() / m
 
@@ -359,7 +354,7 @@ def entropy(logits) -> Tensor:
     if a.data.ndim != 2 or a.data.shape[1] < 2:
         raise ShapeError(f"entropy expects [m x n] with n >= 2, got {a.shape}")
     m = a.data.shape[0]
-    p = _softmax_np(a.data)
+    p = softmax_np(a.data)
     logp = np.log(np.maximum(p, LOG_EPS))
     value = -(p * logp).sum() / m
 
@@ -374,13 +369,8 @@ def entropy(logits) -> Tensor:
 
 def entropy_rows_np(logits: np.ndarray) -> np.ndarray:
     """Per-row prediction entropy, no tape. Shares the loss stabilization."""
-    p = _softmax_np(np.asarray(logits, dtype=np.float64))
+    p = softmax_np(np.asarray(logits, dtype=np.float64))
     return -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=1)
-
-
-def softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax on a plain array, no tape."""
-    return _softmax_np(np.asarray(logits, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +431,53 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
+# finite-difference oracle (tests and the selftest)
+
+FD_STEP = 1e-5  # central-difference step
+FD_RTOL = 1e-4  # allowed |analytic - numeric| relative to |numeric|, per tensor
+
+
+def backward_grads(fn, params: list[Tensor]) -> list[np.ndarray]:
+    """Copies of d fn() / d param from one backward, starting from cleared
+    grads. fn takes no arguments and returns a scalar tensor."""
+    for p in params:
+        p.zero_grad()
+    backward(fn())
+    return [p.grad.copy() for p in params]
+
+
+def finite_difference_grads(fn, params: list[Tensor]) -> list[np.ndarray]:
+    """Central differences of fn() over every entry of every param, moving
+    one entry at a time by FD_STEP and restoring it."""
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat, gflat = p.data.reshape(-1), g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            f_plus = fn().item()
+            flat[i] = orig - FD_STEP
+            f_minus = fn().item()
+            flat[i] = orig
+            gflat[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
+        grads.append(g)
+    return grads
+
+
+def grad_mismatches(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> list[str]:
+    """One line per tensor whose analytic gradient misses the numeric one:
+    relative error not below FD_RTOL, or, where |numeric| < 1e-8, absolute
+    error not below 1e-8. A nan anywhere is a miss. Empty when all agree."""
+    misses = []
+    for i, (a, n) in enumerate(zip(analytic, numeric)):
+        norm, err = np.linalg.norm(n), np.linalg.norm(a - n)
+        if not (err < 1e-8 if norm < 1e-8 else err / norm < FD_RTOL):
+            misses.append(f"param {i}: |analytic - numeric| = {err:.3e}, |numeric| = {norm:.3e}")
+    return misses
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -469,8 +506,4 @@ class SGD:
             v *= self.momentum
             v += p.grad
             p.data -= self.lr * v
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

@@ -7,7 +7,6 @@ trainer cannot express them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +217,7 @@ class _IndexStream:
 class DomainBatcher:
     """Paired mini-batch sampler; source and target streams are independent."""
 
-    def __init__(self, ds: DomainPairDataset, m: int, seed_or_rng):
+    def __init__(self, ds: DomainPairDataset, m: int, rng: np.random.Generator):
         if m > min(ds.n_source, ds.n_target):
             raise ContractError(
                 f"batch size {m} exceeds dataset sizes ({ds.n_source}, {ds.n_target})"
@@ -227,11 +226,6 @@ class DomainBatcher:
             raise ContractError(f"batch size must be >= 1, got {m}")
         self.ds = ds
         self.m = m
-        rng = (
-            seed_or_rng
-            if isinstance(seed_or_rng, np.random.Generator)
-            else np.random.default_rng(seed_or_rng)
-        )
         self._src = _IndexStream(ds.n_source, rng)
         self._tgt = _IndexStream(ds.n_target, rng)
 
@@ -245,57 +239,3 @@ class DomainBatcher:
             ys=Tensor(self.ds.source_y.data[si]),
             xt=Tensor(self.ds.target_x.data[ti]),
         )
-
-
-def next_batch(batcher: DomainBatcher) -> DomainBatch:
-    """Module-level alias for DomainBatcher.next_batch."""
-    return batcher.next_batch()
-
-
-def dump_csv(ds: DomainPairDataset, path: str) -> None:
-    """Write both splits as `split,class,x0..x{d-1}` rows, UTF-8, LF endings."""
-    d = ds.input_dim
-    header = ["split", "class"] + [f"x{i}" for i in range(d)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for split, xs, ys in (
-            ("source", ds.source_x.data, ds.source_y.data),
-            ("target", ds.target_x.data, ds.target_y_eval.data),
-        ):
-            classes = ys.argmax(axis=1)
-            for row, cls in zip(xs, classes):
-                writer.writerow([split, int(cls)] + [f"{v:.17g}" for v in row])
-
-
-def load_csv(path: str) -> DomainPairDataset:
-    """Read a dataset written by dump_csv. Round-trips float64 exactly."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["split", "class"]:
-            raise ContractError(f"unrecognized dataset CSV header: {header}")
-        d = len(header) - 2
-        rows = {"source": [], "target": []}
-        labels = {"source": [], "target": []}
-        for rec in reader:
-            if not rec:
-                continue
-            split = rec[0]
-            if split not in rows:
-                raise ContractError(f"unrecognized split {split!r} in {path}")
-            labels[split].append(int(rec[1]))
-            rows[split].append([float(v) for v in rec[2:]])
-    if not rows["source"] or not rows["target"]:
-        raise ContractError(f"dataset CSV {path} is missing a split")
-    n_classes = max(max(labels["source"]), max(labels["target"])) + 1
-    return DomainPairDataset(
-        source_x=Tensor(np.array(rows["source"])),
-        source_y=Tensor(_one_hot(np.array(labels["source"], dtype=np.intp), n_classes)),
-        target_x=Tensor(np.array(rows["target"])),
-        target_y_eval=Tensor(_one_hot(np.array(labels["target"], dtype=np.intp), n_classes)),
-        n_classes=n_classes,
-        input_dim=d,
-        generator_id=f"csv:{path}",
-        seed=-1,
-    )

@@ -11,7 +11,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,25 +31,11 @@ CHECKPOINT_MAGIC = b"VDACKPT1"
 CHECKPOINT_VERSION = 1
 
 RATIO_GRID_SIZE = 11
-
-
-@dataclass(frozen=True)
-class RatioGrid:
-    """The fixed 11-point mixing-ratio grid 0.0, 0.1, ..., 1.0.
-
-    Built as k/10 so every entry equals the decimal literal exactly
-    (k*0.1 drifts in the last bit at k=3 and k=7).
-    """
-
-    values: np.ndarray = field(default_factory=lambda: np.arange(RATIO_GRID_SIZE) / 10.0)
-
-    def __post_init__(self):
-        v = self.values
-        if len(v) != RATIO_GRID_SIZE or v[0] != 0.0 or v[-1] != 1.0 or np.any(np.diff(v) <= 0):
-            raise ContractError("ratio grid must be the 11 strictly increasing values in [0, 1]")
-
-
-RATIO_GRID = RatioGrid()
+# The fixed mixing-ratio grid 0.0, 0.1, ..., 1.0, built as k/10 so every
+# entry equals the decimal literal exactly (k*0.1 drifts in the last bit at
+# k=3 and k=7). Read-only: every module shares this one array.
+RATIO_GRID = np.arange(RATIO_GRID_SIZE) / 10.0
+RATIO_GRID.setflags(write=False)
 
 
 @dataclass
@@ -207,16 +194,13 @@ def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
 
 # The plain-array layers run the taped nodes' own array steps
 # (diffcore.affine_np, diffcore.relu_np), so both forwards agree bit for bit.
-def _affine_np(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    return affine_np(x, w.data, b.data)
-
-
 def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _affine_np(relu_np(_affine_np(x, p.enc_w1, p.enc_b1)), p.enc_w2, p.enc_b2)
+    h = relu_np(affine_np(x, p.enc_w1.data, p.enc_b1.data))
+    return affine_np(h, p.enc_w2.data, p.enc_b2.data)
 
 
 def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _affine_np(_encode_rows(p, x), p.cls_w, p.cls_b)
+    return affine_np(_encode_rows(p, x), p.cls_w.data, p.cls_b.data)
 
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
@@ -251,8 +235,8 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     """
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    h = relu_np(_affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1, p.emp_b1))
-    return _affine_np(h, p.emp_w2, p.emp_b2)
+    h = relu_np(affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1.data, p.emp_b1.data))
+    return affine_np(h, p.emp_w2.data, p.emp_b2.data)
 
 
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:
@@ -268,9 +252,27 @@ def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
     return Tensor(one_hot_argmax(forward_np(p, xt.data), p.n_classes))
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open `<path>.tmp` for writing and rename it over `path` once the
+    block ends, so a write that fails part-way leaves the previous file,
+    never a truncated one, and removes the temp file. Text mode writes
+    UTF-8 with the newlines as given."""
+    tmp = path + ".tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(p: ModelParams, path: str) -> None:
     """Single-file checkpoint: magic, JSON header, raw float64 arrays.
-    Written atomically: via `<path>.tmp`, then os.replace."""
+    Written atomically (`atomic_open`)."""
     arrays = [(name, t.data) for name, t in p.named_params()]
     header = {
         "version": CHECKPOINT_VERSION,
@@ -279,21 +281,12 @@ def save_checkpoint(p: ModelParams, path: str) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    # written beside the target and renamed over it, so a write that fails
-    # part-way leaves the previous checkpoint, never a truncated one
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelParams:
@@ -345,9 +338,3 @@ def copy_params(p: ModelParams) -> ModelParams:
     for (_, src), (_, dst) in zip(p.named_params(), q.named_params()):
         dst.data = src.data.copy()
     return q
-
-
-def params_checksum(params: list[Tensor]) -> float:
-    """Cheap content checksum for parameter-isolation tests."""
-    return float(sum(np.sum(t.data * np.arange(1, t.data.size + 1).reshape(t.data.shape))
-                     for t in params))

@@ -118,6 +118,10 @@ class TrainConfig:
             raise ContractError("batch_size must lie in [1, n_per_domain]")
         if self.checkpoint_every < 0:
             raise ContractError("checkpoint_every must be >= 0")
+        # config_echo must reproduce the run, so out_dir has to survive its
+        # `key = value` line (parse_config_text strips and splits lines)
+        if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
+            raise ContractError(f"out_dir {self.out_dir!r} does not fit one config line")
 
 
 def _coerce(field: dataclasses.Field, raw: str, key: str):
@@ -420,11 +424,10 @@ def run_covi_epochs(
     views_rng: np.random.Generator,
     writer=None,
     on_epoch_end=None,
-    start_step: int = 0,
 ) -> list[MetricsRow]:
     """The adaptation epochs; used by train() and by warm-restart tests."""
     rows: list[MetricsRow] = []
-    step = start_step
+    step = 0
     for epoch in range(cfg.covi_epochs):
         for _ in range(_steps_per_epoch(ds, cfg.batch_size)):
             row = covi_step(p, batcher.next_batch(), cfg, opt_theta, opt_phi, views_rng, ds, step)

@@ -19,7 +19,6 @@ from .domains import DomainBatch
 from .model import (
     RATIO_GRID,
     ModelParams,
-    RatioGrid,
     emp_forward,
     emp_forward_np,
     encode_np,
@@ -31,49 +30,44 @@ from .model import (
 
 @dataclass(frozen=True)
 class RatioVector:
-    """Per-pair mixing ratios in [0, 1]; each entry is the target fraction."""
+    """Per-pair mixing ratios in [0, 1]; each entry is the target fraction.
+    `values` is held as a 1-D float64 array."""
 
-    lam: Tensor
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.lam.data.ndim != 1:
-            raise ContractError(f"ratio vector must be 1-D, got shape {self.lam.shape}")
-        if np.any(self.lam.data < 0.0) or np.any(self.lam.data > 1.0):
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 1:
+            raise ContractError(f"ratio vector must be 1-D, got shape {v.shape}")
+        # written so that nan fails it too
+        if not ((v >= 0.0) & (v <= 1.0)).all():
             raise ContractError("ratio entries must lie in [0, 1]")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.lam.data
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
-        return self.lam.data.shape[0]
+        return self.values.shape[0]
 
 
 def ratios(values) -> RatioVector:
-    """Constant RatioVector from raw values; wrap tracked tensors with
-    RatioVector(lam=...) directly."""
-    return RatioVector(lam=Tensor(np.asarray(values, dtype=np.float64)))
+    """RatioVector from raw values."""
+    return RatioVector(values)
+
+
+def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
+    """Plain-array mix (1 - lam) * xs + lam * xt with one ratio, a column
+    of per-row ratios, or a stack of ratios that broadcasts against the
+    rows. The two-product form keeps the lam = 0 and lam = 1 endpoints
+    bit-exact."""
+    return (1.0 - lam) * xs + lam * xt
 
 
 def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
-    """Row-wise convex combination (1 - lam) * xs + lam * xt.
-
-    Differentiable w.r.t. both inputs and lam. The two-product form keeps
-    the lam = 0 and lam = 1 endpoints bit-exact.
-    """
+    """Row-wise mix of two batches at per-row ratios, as a constant tensor."""
     if xs.shape != xt.shape:
         raise ContractError(f"mix operand shapes disagree: {xs.shape} vs {xt.shape}")
     if len(lam) != xs.shape[0]:
         raise ContractError(f"ratio count {len(lam)} does not match batch size {xs.shape[0]}")
-    lam_col = dc.reshape(lam.lam, (len(lam), 1))
-    return (1.0 - lam_col) * xs + lam_col * xt
-
-
-def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
-    """Plain-array mix with one ratio, a column of per-row ratios, or a
-    stack of ratios that broadcasts against the rows; the same values as
-    `mix`, bit for bit."""
-    return (1.0 - lam) * xs + lam * xt
+    return Tensor(mix_np(xs.data, xt.data, lam.values[:, None]))
 
 
 def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
@@ -82,7 +76,7 @@ def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     return Tensor((1.0 - lam_col) * ys.data + lam_col * yt_hat.data)
 
 
-def grid_entropy_table(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> np.ndarray:
+def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:
     """Per-pair prediction entropy at every grid ratio, shape [m x 11].
 
     Plain-array computation, no tape; this is the exhaustive view of the
@@ -91,19 +85,18 @@ def grid_entropy_table(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RAT
     same elementwise mix as one forward per ratio; the row-blocked forward
     gives each row the bits it has in a per-ratio forward.
     """
-    k = len(grid.values)
-    mixes = mix_np(batch.xs.data, batch.xt.data, grid.values[:, None, None])
-    entropies = dc.entropy_rows_np(forward_np(p, mixes.reshape(k * batch.m, -1)))
+    mixes = mix_np(batch.xs.data, batch.xt.data, RATIO_GRID[:, None, None])
+    entropies = dc.entropy_rows_np(forward_np(p, mixes.reshape(-1, mixes.shape[2])))
     # C order: numpy sums the rows of a transposed view in another order,
     # which would move the bits of the row statistics taken from the table
-    return np.ascontiguousarray(entropies.reshape(k, batch.m).T)
+    return np.ascontiguousarray(entropies.reshape(-1, batch.m).T)
 
 
-def brute_force_emp(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> RatioVector:
+def brute_force_emp(p: ModelParams, batch: DomainBatch) -> RatioVector:
     """Exhaustive per-pair entropy-maximizing grid ratio; ties take the
     lower ratio. The oracle the learned ratio head is judged against."""
-    table = grid_entropy_table(p, batch, grid)
-    return ratios(grid.values[np.argmax(table, axis=1)])
+    table = grid_entropy_table(p, batch)
+    return ratios(RATIO_GRID[np.argmax(table, axis=1)])
 
 
 def _pair_grid_logits(p: ModelParams, batch: DomainBatch) -> Tensor:
@@ -114,19 +107,11 @@ def _pair_grid_logits(p: ModelParams, batch: DomainBatch) -> Tensor:
     return emp_forward(p, zs, zt)
 
 
-def emp_soft(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> RatioVector:
-    """Expected grid ratio under the learner's softmax; differentiable
-    w.r.t. phi only."""
-    probs = dc.softmax(_pair_grid_logits(p, batch))
-    lam = dc.matmul(probs, Tensor(grid.values[:, None]))
-    return RatioVector(lam=dc.reshape(lam, (batch.m,)))
-
-
-def emp_argmax(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> RatioVector:
+def emp_argmax(p: ModelParams, batch: DomainBatch) -> RatioVector:
     """Hard argmax over the learner's grid logits; constant, no gradient.
     Ties take the lower grid index."""
     logits = emp_forward_np(p, encode_np(p, batch.xs.data), encode_np(p, batch.xt.data))
-    return ratios(grid.values[np.argmax(logits, axis=1)])
+    return ratios(RATIO_GRID[np.argmax(logits, axis=1)])
 
 
 GRID_TEMPERATURE = 0.3  # sharpening of the per-pair entropy profile target
@@ -145,7 +130,7 @@ def grid_profile_target(table: np.ndarray, tau: float = GRID_TEMPERATURE) -> np.
     return dc.softmax_np(standardized / tau)
 
 
-def emp_learner_loss(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO_GRID) -> Tensor:
+def emp_learner_loss(p: ModelParams, batch: DomainBatch) -> Tensor:
     """Ratio-learner objective, to be MAXIMIZED in phi with theta frozen.
 
     Gibbs variational form of per-pair entropy maximization over the grid:
@@ -163,7 +148,7 @@ def emp_learner_loss(p: ModelParams, batch: DomainBatch, grid: RatioGrid = RATIO
     p_k * (grid_k - lam), an exponential-family tilt that parks the hard
     argmax at a grid endpoint while only the expectation tracks the peak.
     """
-    table = grid_entropy_table(p, batch, grid)  # constants w.r.t. phi
+    table = grid_entropy_table(p, batch)  # constants w.r.t. phi
     target = grid_profile_target(table)
     return dc.neg(dc.cross_entropy(_pair_grid_logits(p, batch), target))
 

@@ -12,7 +12,9 @@ from vicinalda.consensus import (
     make_views,
 )
 from vicinalda.domains import DomainBatch
-from vicinalda.model import init_model, logits_of, one_hot_argmax, params_checksum
+from vicinalda.model import init_model, logits_of, one_hot_argmax
+
+from test_model import params_checksum
 
 
 def random_batch(rng, m=8, d=3, n=3):

@@ -1,5 +1,7 @@
 """Tests for the entropy/dominance sweep and equilibrium reporting."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from vicinalda.diagnostics import (
     empirical_emp,
     equilibrium_report,
     lambda_sweep,
-    read_sweep_csv,
     write_sweep_csv,
 )
 from vicinalda.diffcore import ContractError, Tensor
 from vicinalda.domains import make_two_moons_pair
-from vicinalda.model import init_model, logits_of, params_checksum
+from vicinalda.model import init_model, logits_of
 from vicinalda.trainer import TrainConfig, derive_seeds, make_dataset, warmup
+
+from test_model import params_checksum
 
 
 def trained_setup(n=300, warmup_epochs=10, seed=0):
@@ -125,13 +128,15 @@ class TestEquilibriumReport:
     def test_csv_round_trip(self, tmp_path):
         ds, p = trained_setup()
         report = equilibrium_report(p, p, ds, str(tmp_path), n_samples=64)
-        back = read_sweep_csv(report.csv_before)
-        assert len(back) == 11
-        for orig, rt in zip(report.before_rows, back):
-            assert abs(orig.lam - rt.lam) < 1e-6
-            assert abs(orig.mean_entropy - rt.mean_entropy) < 1e-6
-            assert abs(orig.source_dom - rt.source_dom) < 1e-6
-            assert abs(orig.target_dom - rt.target_dom) < 1e-6
+        with open(report.csv_before) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "lambda,mean_entropy,source_dom,target_dom"
+        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        expected = np.array(
+            [[r.lam, r.mean_entropy, r.source_dom, r.target_dom] for r in report.before_rows]
+        )
+        assert back.shape == (11, 4)
+        assert np.max(np.abs(back - expected)) < 1e-6
 
     def test_summary_file_contents(self, tmp_path):
         ds, p = trained_setup()
@@ -145,6 +150,22 @@ class TestEquilibriumReport:
         path = str(tmp_path / "sweep.csv")
         write_sweep_csv(rows, path)
         raw = open(path, "rb").read()
-        assert b"\r" not in raw
-        back = read_sweep_csv(path)
-        assert back[0] == SweepRow(lam=0.3, mean_entropy=0.25, source_dom=0.75, target_dom=0.5)
+        assert raw == (
+            b"lambda,mean_entropy,source_dom,target_dom\n"
+            b"0.300000,0.250000,0.750000,0.500000\n"
+        )
+
+    def test_failed_write_keeps_the_previous_sweep(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([SweepRow(lam=0.3, mean_entropy=0.25, source_dom=0.75, target_dom=0.5)],
+                        str(path))
+        before = path.read_bytes()
+        # the header and the first row are written before the second fails
+        rows = [
+            SweepRow(lam=0.0, mean_entropy=0.5, source_dom=1.0, target_dom=0.0),
+            SweepRow(lam=0.1, mean_entropy="not a float", source_dom=1.0, target_dom=0.0),
+        ]
+        with pytest.raises(ValueError):
+            write_sweep_csv(rows, str(path))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]

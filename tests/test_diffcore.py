@@ -14,45 +14,15 @@ from vicinalda.diffcore import (
     backward,
     cross_entropy,
     entropy,
+    finite_difference_grads,
     matmul,
     softmax,
 )
+from vicinalda.diffcore import backward_grads as run_backward
 
 
-def finite_difference_grads(fn, params, h=1e-5):
-    """Central finite differences of a scalar-valued fn over param tensors."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = fn().item()
-            flat[i] = orig - h
-            f_minus = fn().item()
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def assert_grads_close(analytic, numeric, rtol=1e-4):
-    for a, n in zip(analytic, numeric):
-        denom = np.linalg.norm(n)
-        if denom < 1e-8:
-            assert np.linalg.norm(a - n) < 1e-8
-        else:
-            assert np.linalg.norm(a - n) / denom < rtol
-
-
-def run_backward(fn, params):
-    for p in params:
-        p.zero_grad()
-    loss = fn()
-    backward(loss)
-    return [p.grad.copy() for p in params]
+def assert_grads_close(analytic, numeric):
+    assert dc.grad_mismatches(analytic, numeric) == []
 
 
 class TestMatmul:
@@ -241,6 +211,20 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((1, 2))), np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            [[math.nan, 0.5, 0.5]],  # nan entry; the row sum is nan as well
+            [[1.0, 0.0, 0.0], [0.25, 0.75, math.nan]],  # only the last row
+            [[math.nan, math.nan, math.nan]],
+        ],
+        ids=["first-entry", "later-row", "whole-row"],
+    )
+    def test_rejects_nan_labels(self, target):
+        t = np.array(target)
+        with pytest.raises(ContractError, match="nan"):
+            cross_entropy(Tensor(np.zeros(t.shape)), t)
+
 
 class TestEntropy:
     def test_uniform_is_log_n(self):
@@ -359,6 +343,22 @@ class TestFiniteDifferenceProperty:
         for _ in range(50):
             fn, params = random_small_graph(rng)
             assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
+
+    def test_oracle_flags_wrong_gradients(self):
+        fn, params = random_small_graph(np.random.default_rng(7))
+        analytic = run_backward(fn, params)
+        numeric = finite_difference_grads(fn, params)
+        assert dc.grad_mismatches(analytic, numeric) == []
+        off = [g.copy() for g in analytic]
+        off[2] *= 1.0 + 1e-3  # one tensor 0.1% off
+        assert [m.split(":")[0] for m in dc.grad_mismatches(off, numeric)] == ["param 2"]
+        off[2] = analytic[2].copy()
+        off[2].flat[0] = np.nan
+        assert len(dc.grad_mismatches(off, numeric)) == 1
+        # near-zero numeric gradients are held to an absolute 1e-8
+        zero = [np.zeros(3)]
+        assert dc.grad_mismatches([np.full(3, 1e-9)], zero) == []
+        assert len(dc.grad_mismatches([np.full(3, 1e-7)], zero)) == 1
 
 
 class TestSGD:

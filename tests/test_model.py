@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import SGD, ContractError, ShapeError, Tensor, backward
@@ -21,12 +23,17 @@ from vicinalda.model import (
     load_checkpoint,
     logits_of,
     one_hot_argmax,
-    params_checksum,
     pseudo_labels,
     save_checkpoint,
 )
 
 from test_diffcore import assert_grads_close, finite_difference_grads, run_backward
+
+
+def params_checksum(params):
+    """Cheap content checksum for parameter-isolation tests."""
+    return float(sum(np.sum(t.data * np.arange(1, t.data.size + 1).reshape(t.data.shape))
+                     for t in params))
 
 
 def small_model(seed=0):
@@ -48,10 +55,14 @@ class TestInit:
         assert np.mean(np.abs(logits)) < 5.0
 
     def test_grid_contract(self):
-        v = RATIO_GRID.values
+        v = RATIO_GRID
         assert len(v) == 11
         assert v[0] == 0.0 and v[-1] == 1.0
         assert np.all(np.diff(v) > 0)
+        # each entry is its decimal literal, and nothing can write to it
+        assert v.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        with pytest.raises(ValueError):
+            v[3] = 0.3
 
     def test_emp_head_output_width_is_grid_size(self):
         p = small_model()
@@ -135,7 +146,7 @@ class TestForwards:
         logits = emp_forward(p, Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(3, 5))))
         assert np.array_equal(logits.data, np.zeros((3, 11)))
         probs = dc.softmax_np(logits.data)
-        soft = probs @ RATIO_GRID.values
+        soft = probs @ RATIO_GRID
         assert np.allclose(soft, 0.5, atol=1e-15)
 
     def test_emp_forward_row_independence_under_permutation(self):
@@ -371,6 +382,35 @@ class TestCheckpoint:
         assert q.seed == p.seed
         save_checkpoint(q, str(tmp_path / "model2.ckpt"))
         assert open(path, "rb").read() == open(str(tmp_path / "model2.ckpt"), "rb").read()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 6)] * 5),
+        seed=st.integers(0, 2**64),
+        fill_seed=st.integers(0, 2**32),
+        specials=st.lists(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e308])),
+    )
+    def test_round_trip_bit_exact_property(
+        self, tmp_path_factory, dims, seed, fill_seed, specials
+    ):
+        d, n_classes, feat_dim, hidden, hidden_g = dims
+        p = init_model(d, n_classes, feat_dim, hidden, hidden_g, seed=seed)
+        rng = np.random.default_rng(fill_seed)
+        for _, t in p.named_params():
+            t.data = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=t.data.shape)
+        # special values at random entries; compared as bits, so nan and -0.0 count
+        flat = [t.data.reshape(-1) for _, t in p.named_params()]
+        for v in specials:
+            arr = flat[rng.integers(len(flat))]
+            arr[rng.integers(arr.size)] = v
+        path = str(tmp_path_factory.getbasetemp() / "property.ckpt")
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
+        assert (q.dims(), q.seed) == (p.dims(), p.seed)
+        for (na, ta), (nb, tb) in zip(p.named_params(), q.named_params()):
+            assert na == nb
+            assert ta.data.shape == tb.data.shape
+            assert np.array_equal(ta.data.view(np.uint64), tb.data.view(np.uint64))
 
     def test_every_truncated_prefix_fails_cleanly(self, tmp_path):
         p = init_model(d=2, n_classes=2, feat_dim=2, hidden=3, hidden_g=2, seed=4)

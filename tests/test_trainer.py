@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import SGD, ContractError, Tensor, backward
@@ -21,7 +23,6 @@ from vicinalda.model import (
     init_model,
     load_checkpoint,
     logits_of,
-    params_checksum,
     pseudo_labels,
 )
 from vicinalda.trainer import (
@@ -29,6 +30,7 @@ from vicinalda.trainer import (
     MetricsRow,
     TrainConfig,
     TrainingDiverged,
+    adaptive_lam_p,
     build_config,
     config_echo,
     covi_step,
@@ -41,6 +43,8 @@ from vicinalda.trainer import (
     warmup,
 )
 from vicinalda.vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix, ratios
+
+from test_model import params_checksum
 
 
 def tiny_cfg(**kw) -> TrainConfig:
@@ -65,6 +69,64 @@ def setup_run(cfg):
     )
     warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
     return ds, p, seeds
+
+
+def first_step(cfg):
+    """The first adaptation step after warm-up: its row and theta checksum."""
+    ds, p, seeds = setup_run(cfg)
+    batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
+    row = covi_step(
+        p, batcher.next_batch(), cfg,
+        SGD(p.theta_params(), cfg.lr, cfg.momentum),
+        SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
+        np.random.default_rng(seeds.views), ds, 0,
+    )
+    return row, params_checksum(p.theta_params())
+
+
+def finite_floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def configs(draw):
+    """TrainConfigs whose numeric fields pass validate(); out_dir is any text."""
+    n = draw(st.integers(4, 10**6))
+    return TrainConfig(
+        dataset=draw(st.sampled_from(["two_moons", "blobs"])),
+        n_per_domain=n,
+        rotation_deg=draw(finite_floats()),
+        noise_std=draw(finite_floats(min_value=0.0)),
+        blob_classes=draw(st.integers(2, 10**6)),
+        blob_dim=draw(st.integers(2, 10**6)),
+        blob_shift=draw(finite_floats()),
+        blob_std=draw(finite_floats()),
+        batch_size=draw(st.integers(1, n)),
+        warmup_epochs=draw(st.integers(1, 10**6)),
+        covi_epochs=draw(st.integers(0, 10**6)),
+        lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
+        phi_lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
+        momentum=draw(finite_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        omega=draw(
+            finite_floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+        ),
+        alpha=draw(finite_floats()),
+        beta=draw(finite_floats()),
+        lam_p=draw(finite_floats(min_value=0.0, max_value=0.5)),
+        lam_p_adaptive=draw(st.booleans()),
+        w_emp=draw(finite_floats(min_value=0.0)),
+        w_ct=draw(finite_floats(min_value=0.0)),
+        w_cs=draw(finite_floats(min_value=0.0)),
+        space_sd=draw(finite_floats()),
+        space_td=draw(finite_floats()),
+        feat_dim=draw(st.integers(1, 10**6)),
+        hidden=draw(st.integers(1, 10**6)),
+        hidden_g=draw(st.integers(1, 10**6)),
+        checkpoint_every=draw(st.integers(0, 10**6)),
+        summed_theta_update=draw(st.booleans()),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        out_dir=draw(st.text()),
+    )
 
 
 class TestConfig:
@@ -134,6 +196,24 @@ class TestConfig:
         with pytest.raises(ContractError, match=message):
             train(TrainConfig(out_dir=str(out), **kw))
         assert not (out / "metrics.csv").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=configs())
+    def test_echo_round_trips(self, cfg):
+        try:
+            cfg.validate()
+        except ContractError as exc:
+            # only an out_dir that its config line cannot carry is refused
+            assert "out_dir" in str(exc)
+            return
+        pairs = parse_config_text(config_echo(cfg))
+        assert pairs.keys() == vars(cfg).keys()
+        assert build_config(None, overrides=[f"{k}={v}" for k, v in pairs.items()]) == cfg
+
+    def test_out_dir_that_no_config_line_can_carry_is_refused(self):
+        for out in ("runs/a ", " runs/a", "runs/a\nlr = 1", "runs\ra", "runs/a\u2028"):
+            with pytest.raises(ContractError, match="out_dir"):
+                TrainConfig(out_dir=out).validate()
 
     def test_echo_reproduces_every_field(self):
         echo = config_echo(TrainConfig())
@@ -311,24 +391,13 @@ class TestCoviStep:
         assert (row.source_acc, row.target_acc) == evaluate(q, ds)
 
     def test_summed_update_differs_but_is_deterministic(self):
-        results = []
-        for summed in (False, True, True):
-            cfg = tiny_cfg(summed_theta_update=summed)
-            ds, p, seeds = setup_run(cfg)
-            batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
-            row = covi_step(
-                p, batcher.next_batch(), cfg,
-                SGD(p.theta_params(), cfg.lr, cfg.momentum),
-                SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
-                np.random.default_rng(seeds.views), ds, 0,
-            )
-            results.append((row, params_checksum(p.theta_params())))
+        results = [
+            first_step(tiny_cfg(summed_theta_update=summed)) for summed in (False, True, True)
+        ]
         assert results[1] == results[2]
         assert results[0][1] != results[1][1]
 
     def test_adaptive_lam_p_clamp(self):
-        from vicinalda.trainer import adaptive_lam_p
-
         # band has room: the configured value stands
         assert adaptive_lam_p(0.1, 0.5, 0.1) == 0.1
         # target-heavy lambda*: perturbation must shrink to stay outside
@@ -337,16 +406,22 @@ class TestCoviStep:
         assert adaptive_lam_p(0.2, 1.0, 0.1) == 0.0
 
     def test_adaptive_mode_runs_end_to_end(self):
-        cfg = tiny_cfg(lam_p_adaptive=True, lam_p=0.5)
-        ds, p, seeds = setup_run(cfg)
-        batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
-        row = covi_step(
-            p, batcher.next_batch(), cfg,
-            SGD(p.theta_params(), cfg.lr, cfg.momentum),
-            SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
-            np.random.default_rng(seeds.views), ds, 0,
-        )
+        # lam_p = 0.5 leaves the perturbed views inside the contrastive band
+        # once mean lambda* > 0.4; the adaptive run must clamp it there
+        (row_fixed, theta_fixed), (row, theta) = [
+            first_step(tiny_cfg(lam_p_adaptive=adaptive, lam_p=0.5)) for adaptive in (False, True)
+        ]
         assert np.isfinite(row.r_cs)
+        assert row.mean_lambda_star == row_fixed.mean_lambda_star
+        assert adaptive_lam_p(0.5, row.mean_lambda_star, tiny_cfg().omega) < 0.5
+        assert row.r_cs != row_fixed.r_cs
+        assert theta != theta_fixed
+
+    def test_narrowed_space_drops_contrastive_pairs(self):
+        row_full, _ = first_step(tiny_cfg())
+        row, _ = first_step(tiny_cfg(space_sd=0.3, space_td=0.7))
+        assert row.mean_lambda_star == row_full.mean_lambda_star
+        assert 0.0 < row.ct_keep < row_full.ct_keep
 
     def test_nan_params_abort_with_diagnostic(self, tmp_path):
         cfg = tiny_cfg(out_dir=str(tmp_path))

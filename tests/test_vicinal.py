@@ -15,17 +15,14 @@ from vicinalda.model import (
     forward_np,
     init_model,
     logits_of,
-    params_checksum,
     pseudo_labels,
 )
 from vicinalda.vicinal import (
-    RatioVector,
     _pair_grid_logits,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
     emp_mixup_loss,
-    emp_soft,
     grid_entropy_table,
     grid_profile_target,
     mix,
@@ -34,8 +31,7 @@ from vicinalda.vicinal import (
     ratios,
 )
 
-from test_diffcore import assert_grads_close, finite_difference_grads, run_backward
-from test_model import perturbed_model
+from test_model import params_checksum, perturbed_model
 
 
 def random_batch(rng, m=6, d=3, n=3):
@@ -70,14 +66,10 @@ class TestMix:
             ratios([1.2])
         with pytest.raises(ContractError):
             ratios([-0.1])
-
-    def test_differentiable_wrt_lam(self):
-        rng = np.random.default_rng(2)
-        xs, xt = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
-        lam_t = Tensor(rng.uniform(0.2, 0.8, 3), requires_grad=True)
-        const = rng.normal(size=(3, 2))
-        fn = lambda: dc.tsum(mix(xs, xt, RatioVector(lam=lam_t)) * Tensor(const))
-        assert_grads_close(run_backward(fn, [lam_t]), finite_difference_grads(fn, [lam_t]))
+        with pytest.raises(ContractError):
+            ratios([0.5, np.nan])
+        with pytest.raises(ContractError):
+            ratios([[0.5]])
 
 
 class TestMixLabels:
@@ -140,13 +132,13 @@ class TestBruteForce:
         best = []
         for i in range(batch.m):
             entropies = []
-            for k, g in enumerate(RATIO_GRID.values):
+            for k, g in enumerate(RATIO_GRID):
                 row = (1 - g) * batch.xs.data[i] + g * batch.xt.data[i]
                 z = logits_of(p, Tensor(row[None, :])).data[0]
                 e = np.exp(z - z.max())
                 prob = e / e.sum()
                 entropies.append(-(prob * np.log(np.maximum(prob, 1e-12))).sum())
-            best.append(RATIO_GRID.values[int(np.argmax(entropies))])
+            best.append(RATIO_GRID[int(np.argmax(entropies))])
         assert np.array_equal(lam.values, np.array(best))
 
     def test_output_always_on_grid(self):
@@ -157,14 +149,6 @@ class TestBruteForce:
 
 
 class TestEmpSoftAndArgmax:
-    def test_uniform_grid_logits_give_half(self):
-        p = init_model(d=3, n_classes=3, seed=5)
-        for t in p.phi_params():
-            t.data = np.zeros_like(t.data)
-        batch = random_batch(np.random.default_rng(8))
-        lam = emp_soft(p, batch)
-        assert np.allclose(lam.values, 0.5, atol=1e-15)
-
     def test_saturated_logit_reaches_grid_value(self):
         p = init_model(d=3, n_classes=3, seed=6)
         for t in p.phi_params():
@@ -172,24 +156,7 @@ class TestEmpSoftAndArgmax:
         p.emp_b2.data = np.zeros(11)
         p.emp_b2.data[7] = 1e4  # one grid logit toward +inf
         batch = random_batch(np.random.default_rng(9))
-        assert np.allclose(emp_soft(p, batch).values, 0.7, atol=1e-12)
         assert np.array_equal(emp_argmax(p, batch).values, np.full(batch.m, 0.7))
-
-    def test_emp_soft_gradient_wrt_phi(self):
-        rng = np.random.default_rng(10)
-        p = init_model(d=2, n_classes=2, feat_dim=4, hidden=5, hidden_g=6, seed=7)
-        batch = random_batch(rng, m=3, d=2, n=2)
-        const = rng.normal(size=3)
-        params = p.phi_params()
-        fn = lambda: dc.tsum(emp_soft(p, batch).lam * Tensor(const))
-        assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
-
-    def test_emp_soft_never_writes_theta_grads(self):
-        rng = np.random.default_rng(11)
-        p = init_model(d=3, n_classes=3, seed=8)
-        batch = random_batch(rng)
-        backward(dc.tsum(emp_soft(p, batch).lam))
-        assert all(t.grad is None for t in p.theta_params())
 
     def test_argmax_ties_take_lower_index(self):
         p = init_model(d=3, n_classes=3, seed=9)
@@ -205,7 +172,7 @@ class TestEmpSoftAndArgmax:
         from vicinalda.vicinal import _pair_grid_logits
 
         logits = _pair_grid_logits(p, batch).data
-        expected = RATIO_GRID.values[logits.argmax(axis=1)]
+        expected = RATIO_GRID[logits.argmax(axis=1)]
         assert np.array_equal(emp_argmax(p, batch).values, expected)
 
 
@@ -222,8 +189,8 @@ class TestTapeFreeRatioMachinery:
     def test_grid_table_matches_taped_per_ratio_loop(self, d, n_classes, feat_dim, hidden, m):
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
-        oracle = np.empty((m, len(RATIO_GRID.values)))
-        for k, lam_k in enumerate(RATIO_GRID.values):
+        oracle = np.empty((m, len(RATIO_GRID)))
+        for k, lam_k in enumerate(RATIO_GRID):
             logits = logits_of(p, mix(batch.xs, batch.xt, ratios(np.full(m, lam_k)))).data
             oracle[:, k] = dc.entropy_rows_np(logits)
         assert np.array_equal(grid_entropy_table(p, batch), oracle)
@@ -242,7 +209,7 @@ class TestTapeFreeRatioMachinery:
         oracle = np.stack(
             [
                 dc.entropy_rows_np(forward_np(p, mix_np(batch.xs.data, batch.xt.data, lam_k)))
-                for lam_k in RATIO_GRID.values
+                for lam_k in RATIO_GRID
             ],
             axis=1,
         )
@@ -255,9 +222,10 @@ class TestTapeFreeRatioMachinery:
     def test_argmax_matches_taped_grid_logits(self, d, n_classes, feat_dim, hidden, m):
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
-        taped = emp_forward(p, encode(p, batch.xs).detach(), encode(p, batch.xt).detach()).data
+        zs, zt = Tensor(encode(p, batch.xs).data), Tensor(encode(p, batch.xt).data)
+        taped = emp_forward(p, zs, zt).data
         assert np.array_equal(_pair_grid_logits(p, batch).data, taped)
-        expected = RATIO_GRID.values[np.argmax(taped, axis=1)]
+        expected = RATIO_GRID[np.argmax(taped, axis=1)]
         assert np.array_equal(emp_argmax(p, batch).values, expected)
 
 
@@ -273,10 +241,6 @@ class TestEmpLearnerLoss:
         table = grid_entropy_table(p, batch)
         assert np.allclose(table, math.log(2), atol=1e-12)
         assert np.allclose(grid_profile_target(table), 1.0 / 11, atol=1e-12)
-        # mean prediction entropy at the soft ratio is the ln 2 plateau
-        soft = emp_soft(p, batch)
-        ent = dc.entropy(logits_of(p, mix(batch.xs, batch.xt, soft)))
-        assert abs(ent.item() - math.log(2)) < 1e-12
         backward(emp_learner_loss(p, batch))
         assert all(np.max(np.abs(t.grad)) < 1e-12 for t in p.phi_params())
 
@@ -306,7 +270,8 @@ class TestEmpLearnerLoss:
         batch = random_batch(rng, m=32, d=2, n=2)
 
         def soft_entropy():
-            lam = emp_soft(p, batch)
+            # the learner's expected grid ratio per pair
+            lam = ratios(dc.softmax_np(_pair_grid_logits(p, batch).data) @ RATIO_GRID)
             return dc.entropy(logits_of(p, mix(batch.xs, batch.xt, lam))).item()
 
         start = soft_entropy()
