@@ -39,9 +39,7 @@ from .domains import (
 from .model import (
     RATIO_GRID,
     ModelParams,
-    classify,
     emp_forward,
-    encode,
     init_model,
     load_checkpoint,
     pseudo_labels,
@@ -63,8 +61,8 @@ __all__ = [
     "cross_entropy", "entropy", "matmul", "softmax",
     "DomainBatch", "DomainBatcher", "DomainPairDataset",
     "make_blobs_pair", "make_two_moons_pair",
-    "RATIO_GRID", "ModelParams", "classify", "emp_forward",
-    "encode", "init_model", "load_checkpoint", "pseudo_labels", "save_checkpoint",
+    "RATIO_GRID", "ModelParams", "emp_forward",
+    "init_model", "load_checkpoint", "pseudo_labels", "save_checkpoint",
     "RatioVector", "brute_force_emp", "emp_argmax",
     "emp_learner_loss", "emp_mixup_loss", "mix", "mix_labels",
     "ContrastivePair", "Top2", "build_contrastive_pairs", "confidence_mask",

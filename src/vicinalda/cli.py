@@ -19,7 +19,7 @@ from .diffcore import SGD, ContractError, Tensor, backward
 from .contrastive import confidence_mask
 from .domains import DomainBatch, DomainBatcher, make_two_moons_pair
 from .diagnostics import empirical_emp, equilibrium_report, lambda_sweep, write_sweep_csv
-from .model import emp_forward, encode_np, init_model, load_checkpoint, logits_of
+from .model import RATIO_GRID, emp_forward, encode_np, init_model, load_checkpoint, logits_of
 from .trainer import (
     TrainConfig,
     build_config,
@@ -34,8 +34,8 @@ from .vicinal import (
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
-    grid_entropy_table,
     mix,
+    mix_np,
     ratios,
 )
 
@@ -125,7 +125,8 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
     report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=min(256, ds.n_source))
     print(f"report: {report.summary_path}")
-    print(open(report.summary_path).read().rstrip())
+    with open(report.summary_path) as fh:
+        print(fh.read().rstrip())
     return 0
 
 
@@ -177,7 +178,12 @@ def _check_brute_force_maximality(rng) -> bool:
         xs=Tensor(rng.normal(size=(m, 2))), ys=Tensor(ys), xt=Tensor(rng.normal(size=(m, 2)))
     )
     lam = brute_force_emp(p, batch)
-    table = grid_entropy_table(p, batch)
+    # recomputed ratio by ratio, not the stacked table brute_force_emp reads
+    xs, xt = batch.xs.data, batch.xt.data
+    table = np.stack(
+        [dc.entropy_rows_np(logits_of(p, Tensor(mix_np(xs, xt, g))).data) for g in RATIO_GRID],
+        axis=1,
+    )
     chosen = table[np.arange(m), (lam.values * 10).round().astype(int)]
     return bool(np.all(chosen[:, None] >= table - 1e-15))
 
@@ -220,8 +226,6 @@ def _check_emp_agreement(seed: int) -> bool:
             opt_phi.lr = 0.01
         backward(dc.neg(emp_learner_loss(p, batcher.next_batch())))
         opt_phi.step()
-        for t in p.theta_params():
-            t.zero_grad()
     held = DomainBatch(
         xs=Tensor(ds.source_x.data[:256]),
         ys=Tensor(ds.source_y.data[:256]),

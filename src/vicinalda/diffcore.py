@@ -2,9 +2,9 @@
 
 A deliberately small tape engine: float64 numpy storage, eager ops that
 record a vector-Jacobian product per node, topological-order backward,
-and SGD with momentum. The op set is exactly what the adaptation method
-needs (fused affine and affine+ReLU layers, concatenation, row gathering,
-softmax, and the two losses), nothing more.
+and SGD with momentum. The ops: add, mul, neg, relu, matmul, row gathering,
+reshape, sums, softmax and the two losses. Each model network is one
+`tape_node` (see `model.logits_of`), held by the tests to the matmul chain.
 
 Tracked tensors are never mutated in place; the only writers of raw
 buffers are the optimizer (parameters, velocities) and backward (the
@@ -92,7 +92,9 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def tape_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Op output holding `data`; if a parent is tracked, it records `parents`
+    and `vjp` (output gradient -> one gradient or None per parent)."""
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
@@ -124,7 +126,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _node(out, (a, b), vjp)
+    return tape_node(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -137,18 +139,18 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _node(out, (a, b), vjp)
+    return tape_node(out, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
+    return tape_node(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return tape_node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def matmul(a, b) -> Tensor:
@@ -162,7 +164,7 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _node(out, (a, b), vjp)
+    return tape_node(out, (a, b), vjp)
 
 
 def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,56 +191,6 @@ def relu_np(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_node(x, w, b, rectify: bool) -> Tensor:
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {x.shape} and {w.shape}")
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {x.shape} x {w.shape}")
-    out = affine_np(x.data, w.data, b.data)
-    mask = None
-    if rectify:
-        mask = out > 0.0
-        out = relu_np(out)
-
-    def vjp(g):
-        if mask is not None:
-            g = g * mask
-        return (
-            g @ w.data.T if x.requires_grad else None,
-            x.data.T @ g if w.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _node(out, (x, w, b), vjp)
-
-
-def affine(x, w, b) -> Tensor:
-    """x @ w + b as one tape node. Its VJP computes only the gradients of
-    the operands that require one."""
-    return _affine_node(x, w, b, rectify=False)
-
-
-def affine_relu(x, w, b) -> Tensor:
-    """relu(x @ w + b) as one tape node, with the values and gradients of
-    the matmul -> add -> relu chain."""
-    return _affine_node(x, w, b, rectify=True)
-
-
-def concat_cols(a, b) -> Tensor:
-    """Concatenate two [m x k] blocks along columns."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"concat_cols row counts disagree: {a.shape} vs {b.shape}")
-    ka = a.data.shape[1]
-    out = np.concatenate([a.data, b.data], axis=1)
-
-    def vjp(g):
-        return g[:, :ka], g[:, ka:]
-
-    return _node(out, (a, b), vjp)
-
-
 def take_rows(a, idx) -> Tensor:
     """Gather rows by integer index; backward scatters additively."""
     a = as_tensor(a)
@@ -250,7 +202,7 @@ def take_rows(a, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _node(out, (a,), vjp)
+    return tape_node(out, (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -260,7 +212,7 @@ def reshape(a, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(a.data.shape),)
 
-    return _node(out, (a,), vjp)
+    return tape_node(out, (a,), vjp)
 
 
 def tsum(a) -> Tensor:
@@ -270,7 +222,7 @@ def tsum(a) -> Tensor:
     def vjp(g):
         return (np.full_like(a.data, float(g)),)
 
-    return _node(np.asarray(a.data.sum()), (a,), vjp)
+    return tape_node(np.asarray(a.data.sum()), (a,), vjp)
 
 
 def tmean(a) -> Tensor:
@@ -281,7 +233,7 @@ def tmean(a) -> Tensor:
     def vjp(g):
         return (np.full_like(a.data, float(g) / n),)
 
-    return _node(np.asarray(a.data.mean()), (a,), vjp)
+    return tape_node(np.asarray(a.data.mean()), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +259,7 @@ def softmax(logits) -> Tensor:
         dot = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - dot),)
 
-    return _node(p, (a,), vjp)
+    return tape_node(p, (a,), vjp)
 
 
 def _check_label_rows(t: np.ndarray) -> None:
@@ -345,7 +297,7 @@ def cross_entropy(logits, target) -> Tensor:
         dot = (dldp * p).sum(axis=1, keepdims=True)
         return (float(g) * p * (dldp - dot),)
 
-    return _node(np.asarray(value), (a,), vjp)
+    return tape_node(np.asarray(value), (a,), vjp)
 
 
 def entropy(logits) -> Tensor:
@@ -364,7 +316,7 @@ def entropy(logits) -> Tensor:
         dot = (dhdp * p).sum(axis=1, keepdims=True)
         return (float(g) * p * (dhdp - dot),)
 
-    return _node(np.asarray(value), (a,), vjp)
+    return tape_node(np.asarray(value), (a,), vjp)
 
 
 def entropy_rows_np(logits: np.ndarray) -> np.ndarray:

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (
-    ContractError,
-    ShapeError,
-    Tensor,
-    affine,
-    affine_np,
-    affine_relu,
-    concat_cols,
-    relu_np,
-)
+from .diffcore import ContractError, ShapeError, Tensor, affine_np, relu_np, tape_node
 
 CHECKPOINT_MAGIC = b"VDACKPT1"
 CHECKPOINT_VERSION = 1
@@ -128,31 +119,49 @@ def init_model(
     )
 
 
-def encode(p: ModelParams, x: Tensor) -> Tensor:
-    """Instance features: ReLU hidden layer, linear feature layer."""
-    if x.data.ndim != 2 or x.data.shape[1] != p.d:
-        raise ShapeError(f"encode expects [m x {p.d}], got {x.shape}")
-    return affine(affine_relu(x, p.enc_w1, p.enc_b1), p.enc_w2, p.enc_b2)
-
-
-def classify(p: ModelParams, z: Tensor) -> Tensor:
-    """Class logits from features; a single affine layer."""
-    if z.data.ndim != 2 or z.data.shape[1] != p.feat_dim:
-        raise ShapeError(f"classify expects [m x {p.feat_dim}], got {z.shape}")
-    return affine(z, p.cls_w, p.cls_b)
-
-
-def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
-    """Grid logits for each source/target feature pair, one row per pair."""
-    if zs.shape != zt.shape:
-        raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    h = affine_relu(concat_cols(zs, zt), p.emp_w1, p.emp_b1)
-    return affine(h, p.emp_w2, p.emp_b2)
+def _constant(x: Tensor) -> np.ndarray:
+    # the network nodes compute no input gradient; a tracked input would lose its own
+    if x.requires_grad:
+        raise ContractError("model forwards take constant inputs, got a tracked tensor")
+    return x.data
 
 
 def logits_of(p: ModelParams, x: Tensor) -> Tensor:
-    """Class logits straight from inputs (classifier over encoder)."""
-    return classify(p, encode(p, x))
+    """Class logits of constant inputs, as one tape node whose parents are
+    the theta parameters. The forward runs the steps of `forward_np`; the
+    VJP runs the three layer VJPs from last to first."""
+    x = _constant(x)
+    _check_inputs(p, x)
+    w1, b1, w2, b2, wc, bc = (t.data for t in p.theta_params())
+    pre = affine_np(x, w1, b1)
+    mask = pre > 0.0
+    h = relu_np(pre)
+    z = affine_np(h, w2, b2)
+
+    def vjp(g):
+        gz = g @ wc.T
+        gh = (gz @ w2.T) * mask
+        return x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
+
+    return tape_node(affine_np(z, wc, bc), tuple(p.theta_params()), vjp)
+
+
+def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
+    """Grid logits for each pair of constant source/target features, one
+    row per pair, as one tape node whose parents are the phi parameters."""
+    if zs.shape != zt.shape:
+        raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
+    pair = np.concatenate([_constant(zs), _constant(zt)], axis=1)
+    w1, b1, w2, b2 = (t.data for t in p.phi_params())
+    pre = affine_np(pair, w1, b1)
+    mask = pre > 0.0
+    h = relu_np(pre)
+
+    def vjp(g):
+        gh = (g @ w2.T) * mask
+        return pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+
+    return tape_node(affine_np(h, w2, b2), tuple(p.phi_params()), vjp)
 
 
 # Rows per block of the tape-free forward. A fresh float64 temporary over
@@ -192,8 +201,8 @@ def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The plain-array layers run the taped nodes' own array steps
-# (diffcore.affine_np, diffcore.relu_np), so both forwards agree bit for bit.
+# The plain-array layers run the steps of the taped nodes (diffcore.affine_np,
+# diffcore.relu_np), so both forwards agree bit for bit.
 def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
     h = relu_np(affine_np(x, p.enc_w1.data, p.enc_b1.data))
     return affine_np(h, p.enc_w2.data, p.enc_b2.data)
@@ -205,11 +214,12 @@ def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != p.d:
-        raise ShapeError(f"encode expects [m x {p.d}], got {x.shape}")
+        raise ShapeError(f"model inputs must be [m x {p.d}], got {x.shape}")
 
 
 def encode_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Tape-free encode: the same features as `encode`, bit for bit."""
+    """Tape-free encoder features: the hidden and feature layers of
+    `forward_np`, without the classifier."""
     _check_inputs(p, x)
     return _by_row_blocks(lambda xb: _encode_rows(p, xb), p.feat_dim, x)
 

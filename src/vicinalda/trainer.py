@@ -35,6 +35,7 @@ from .domains import (
     make_two_moons_pair,
 )
 from .model import (
+    RATIO_GRID,
     ModelParams,
     forward_np,
     init_model,
@@ -102,6 +103,15 @@ class TrainConfig:
             raise ContractError("loss weights must be >= 0")
         if not 0.0 <= self.lam_p <= 0.5:
             raise ContractError(f"lam_p must lie in [0, 0.5], got {self.lam_p}")
+        sd, td = self.space_sd, self.space_td
+        if not (0.0 <= sd <= 1.0 and 0.0 <= td <= 1.0):
+            raise ContractError(f"space_sd and space_td must lie in [0, 1], got {sd} and {td}")
+        # build_contrastive_pairs' comparisons; with no grid ratio inside, phase 3 would be off
+        if not ((RATIO_GRID - self.omega >= sd) & (RATIO_GRID + self.omega <= td)).any():
+            raise ContractError(
+                f"no grid ratio r has r - omega >= space_sd and r + omega <= space_td "
+                f"(omega {self.omega}, space_sd {sd}, space_td {td})"
+            )
         # the bounds the generators and init_model enforce, checked here so
         # that a refused run writes nothing under out_dir
         for name, low in (("n_per_domain", 4), ("blob_classes", 2), ("blob_dim", 2),
@@ -250,11 +260,6 @@ def evaluate(p: ModelParams, ds: DomainPairDataset) -> tuple[float, float]:
     return src_acc, tgt_acc
 
 
-def _zero_all(p: ModelParams) -> None:
-    for _, t in p.named_params():
-        t.zero_grad()
-
-
 def _steps_per_epoch(ds: DomainPairDataset, m: int) -> int:
     return int(np.ceil(ds.n_source / m))
 
@@ -327,8 +332,9 @@ def covi_step(
 
     Phase 1 always runs and updates phi only. Phases 2-4 update theta and
     are gated by their weights; with summed_theta_update they share one
-    backward+step on the same pre-step theta. Gradients are cleared
-    between phases.
+    backward+step on the same pre-step theta. Each optimizer step clears
+    its own group's gradients, and no phase writes the other group's, so
+    every phase starts from cleared gradients.
     """
     _check_params_finite(step, cfg, p)
 
@@ -337,7 +343,6 @@ def covi_step(
     _check_finite(loss_phi.item(), "ratio-learner ascent", step, cfg, p)
     backward(dc.neg(loss_phi))
     opt_phi.step()
-    _zero_all(p)
 
     lam_star = emp_argmax(p, batch)
     mean_lambda = float(lam_star.values.mean())
@@ -362,7 +367,6 @@ def covi_step(
             else:
                 backward(loss * weight)
                 opt_theta.step()
-                _zero_all(p)
         return value
 
     if cfg.w_emp > 0:
@@ -397,7 +401,6 @@ def covi_step(
             total = total + extra
         backward(total)
         opt_theta.step()
-        _zero_all(p)
 
     src_acc, tgt_acc = evaluate(p, ds)
     return MetricsRow(

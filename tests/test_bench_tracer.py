@@ -49,8 +49,8 @@ def test_every_target_resolves():
 
 
 def test_harness_runs_a_tiny_workload(tmp_path):
-    """One train and one traced eval/sweep/equilibrium cycle through the
-    harness's own code, plus the names its checks read."""
+    """One train, one traced train and one traced eval/sweep/equilibrium
+    cycle through the harness's own code, plus the names its checks read."""
     from vicinalda.diffcore import Tensor
     from vicinalda.domains import DomainBatch
     from vicinalda.model import RATIO_GRID, load_checkpoint
@@ -64,6 +64,12 @@ def test_harness_runs_a_tiny_workload(tmp_path):
     )
     run = harness.Run(wl, 0, 0.0, False, str(tmp_path))
     assert run.train_once(traced=False) is not None
+    assert run.train_once(traced=True) is not None
+    # the model nodes feed these metrics; a change to them must not empty them
+    assert run.tracer.counter("diffcore.tape_nodes", "step") > 0
+    assert run.tracer.counter("model.logits_of.calls", "step") > 0
+    calls, total_s, _ = run.tracer.span("diffcore.backward", "step")
+    assert calls > 0 and total_s > 0
     assert run.cycle_once(traced=True) is not None
     assert run.checks.failures == []
     assert run.tracer.missing == []

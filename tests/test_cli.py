@@ -19,11 +19,11 @@ TINY = [
 ]
 
 
-def run_cli(*argv, timeout=300):
+def run_cli(*argv, timeout=300, python_flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
     return subprocess.run(
-        [sys.executable, "-m", "vicinalda", *argv],
+        [sys.executable, *python_flags, "-m", "vicinalda", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -63,6 +63,13 @@ class TestUsageErrors:
         res = run_cli("train", "--set", "hidden=0", "--out", str(out))
         assert res.returncode == 2
         assert "hidden must be >= 1" in res.stderr
+        assert not (out / "metrics.csv").exists()
+
+    def test_space_bounds_without_a_grid_ratio_exit_2_without_metrics(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("train", "--set", "space_sd=0.9", "--set", "space_td=0.1", "--out", str(out))
+        assert res.returncode == 2
+        assert "no grid ratio" in res.stderr
         assert not (out / "metrics.csv").exists()
 
     def test_eval_without_checkpoint_exits_1(self, tmp_path):
@@ -123,6 +130,21 @@ class TestEvalVerb:
         ds = make_dataset(cfg, derive_seeds(0).data)
         accs = [evaluate(init_model(d=2, n_classes=2, seed=s), ds)[1] for s in range(30)]
         assert abs(np.mean(accs) - 0.5) <= 0.1
+
+
+class TestEquilibriumVerb:
+    def test_leaves_no_file_open(self, tmp_path):
+        from vicinalda.trainer import derive_seeds
+
+        out = str(tmp_path / "fresh")
+        os.makedirs(out)
+        p = init_model(d=2, n_classes=2, seed=derive_seeds(0).model)
+        for name in ("checkpoint_warmup.ckpt", "checkpoint_final.ckpt"):
+            save_checkpoint(p, os.path.join(out, name))
+        res = run_cli("equilibrium", "--out", out, "--seed", "0", *TINY,
+                      python_flags=("-X", "dev", "-W", "error::ResourceWarning"))
+        assert res.returncode == 0, res.stderr
+        assert "ResourceWarning" not in res.stderr
 
 
 class TestSelftestVerb:

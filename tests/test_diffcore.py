@@ -59,43 +59,6 @@ class TestMatmul:
         assert_grads_close(run_backward(fn, [a, b]), finite_difference_grads(fn, [a, b]))
 
 
-class TestAffine:
-    def test_values_match_the_unfused_chain(self):
-        rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(7, 4)))
-        w = Tensor(rng.normal(size=(4, 5)))
-        b = Tensor(rng.normal(size=5))
-        assert np.array_equal(dc.affine(x, w, b).data, (matmul(x, w) + b).data)
-        assert np.array_equal(dc.affine_relu(x, w, b).data, dc.relu(matmul(x, w) + b).data)
-
-    @pytest.mark.parametrize("op", [dc.affine, dc.affine_relu], ids=["affine", "affine_relu"])
-    def test_gradients_of_every_operand(self, op):
-        rng = np.random.default_rng(32)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(scale=0.5, size=5), requires_grad=True)
-        const = rng.normal(size=(4, 5))
-        fn = lambda: dc.tsum(op(x, w, b) * Tensor(const))
-        params = [x, w, b]
-        assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
-
-    @pytest.mark.parametrize("op", [dc.affine, dc.affine_relu], ids=["affine", "affine_relu"])
-    def test_vjp_skips_operands_without_grad(self, op):
-        rng = np.random.default_rng(33)
-        x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=5))
-        gx, gw, gb = op(x, w, b)._vjp(np.ones((4, 5)))
-        assert gx is None and gb is None
-        assert gw.shape == (3, 5)
-
-    def test_shape_errors_keep_the_matmul_messages(self):
-        with pytest.raises(ShapeError, match="inner dimensions disagree"):
-            dc.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
-        with pytest.raises(ShapeError, match="expects 2-D operands"):
-            dc.affine_relu(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
-
-
 def select_relu(a):
     """The select that relu_np must reproduce bit for bit (the taped relu)."""
     return np.where(a > 0.0, a, 0.0)
@@ -139,21 +102,6 @@ class TestReluNp:
         out = dc.relu_np(a)
         assert out is not a and not np.shares_memory(out, a)
         assert_same_bits(a, before)
-
-    def test_affine_relu_bits_match_the_unfused_chain(self):
-        # the -0.0 rows: (-1e-200 * 1e-200) underflows to -0.0 and adds to
-        # -0.0 * 1.0; the nan rows come from a nan input and from inf - inf
-        x = np.array([[-1e-200, 1.0], [1e-200, -1.0], [np.nan, 1.0],
-                      [np.inf, 1.0], [3.0, -2.0], [0.0, 0.0]])
-        w = np.array([[1e-200, -1.0, 2.0, 1.0], [-0.0, -0.0, 1.0, 2.0]])
-        b = np.array([-0.0, -0.0, 0.5, -np.inf])
-        with np.errstate(invalid="ignore"):
-            pre = dc.affine_np(x, w, b)
-            fused = dc.affine_relu(Tensor(x), Tensor(w), Tensor(b)).data
-            chain = dc.relu(matmul(Tensor(x), Tensor(w)) + Tensor(b)).data
-        assert (np.signbit(pre) & (pre == 0.0)).any() and np.isnan(pre).any()
-        assert_same_bits(fused, chain)
-        assert_same_bits(fused, select_relu(pre))
 
 
 class TestSoftmax:
@@ -288,8 +236,8 @@ class TestBackward:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(np.zeros(4), requires_grad=True)
         x = Tensor(rng.normal(size=(5, 3)))  # a constant input
-        h = dc.affine_relu(x, w, b)
-        z = dc.relu(matmul(x, w) + b)
+        h = dc.relu(matmul(x, w) + b)
+        z = matmul(x, w) + b
         loss = dc.tmean(h * z)
         backward(loss)
         assert w.grad is not None and b.grad is not None
@@ -316,7 +264,7 @@ def random_small_graph(rng):
     b1 = Tensor(rng.normal(scale=0.1, size=hdim), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(hdim, n)), requires_grad=True)
     b2 = Tensor(rng.normal(scale=0.1, size=n), requires_grad=True)
-    mix_w = Tensor(rng.normal(scale=0.5, size=(2 * n, n)))
+    mix_w = Tensor(rng.normal(scale=0.5, size=(n, n)))
     x = Tensor(rng.normal(size=(m, d)))
     extra = Tensor(rng.normal(size=(m, n)))
     t = dc.softmax_np(rng.normal(size=(m, n)))  # soft labels, rows sum to 1
@@ -324,12 +272,10 @@ def random_small_graph(rng):
 
     def fn():
         h = dc.relu(matmul(x, w1) + b1)
-        # the fused nodes over the same parameters, with a tracked input
-        # (h) into the second one
-        z = matmul(h, w2) + dc.affine(dc.affine_relu(x, w1, b1) + h, w2, b2)
+        # every parameter reached along two paths, so its gradients add up
+        z = matmul(h, w2) + (matmul(dc.relu(matmul(x, w1) + b1) + h, w2) + b2)
         gathered = dc.take_rows(z, idx)
-        wide = dc.concat_cols(gathered, extra * 0.5)
-        logits = matmul(dc.reshape(wide, (m, 2 * n)), mix_w)
+        logits = matmul(dc.reshape(gathered + extra * 0.5, (m, n)), mix_w)
         ce = cross_entropy(logits, t)
         ent = entropy(dc.softmax(logits) * 3.0 + 0.1)
         return ce + 0.5 * ent + 0.01 * dc.tmean(w2 * w2) - 0.02 * dc.tsum(dc.neg(b1))

@@ -12,11 +12,9 @@ from vicinalda.diffcore import SGD, ContractError, ShapeError, Tensor, backward
 from vicinalda.model import (
     FORWARD_BLOCK_ROWS,
     RATIO_GRID,
-    classify,
     copy_params,
     emp_forward,
     emp_forward_np,
-    encode,
     encode_np,
     forward_np,
     init_model,
@@ -27,7 +25,12 @@ from vicinalda.model import (
     save_checkpoint,
 )
 
-from test_diffcore import assert_grads_close, finite_difference_grads, run_backward
+from test_diffcore import (
+    assert_grads_close,
+    assert_same_bits,
+    finite_difference_grads,
+    run_backward,
+)
 
 
 def params_checksum(params):
@@ -106,37 +109,38 @@ class TestForwards:
         p = small_model()
         for t in p.theta_params():
             t.data = np.zeros_like(t.data)
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        assert np.array_equal(encode(p, x).data, np.zeros((4, 5)))
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        assert np.array_equal(encode_np(p, x), np.zeros((4, 5)))
 
     def test_duplicated_row_gives_identical_features(self):
         p = small_model()
         row = np.random.default_rng(1).normal(size=3)
-        z = encode(p, Tensor(np.stack([row, row])))
-        assert np.array_equal(z.data[0], z.data[1])
+        z = encode_np(p, np.stack([row, row]))
+        assert np.array_equal(z[0], z[1])
 
     def test_encode_gradient_check(self):
+        # the encoder's parameters, through the one node that holds them
         rng = np.random.default_rng(6)
         p = small_model()
         x = Tensor(rng.normal(size=(4, 3)))
+        const = rng.normal(size=(4, 4))
         params = p.theta_params()[:4]
-        fn = lambda: dc.tmean(encode(p, x) * Tensor(rng_const))
-        rng_const = rng.normal(size=(4, 5))
+        fn = lambda: dc.tmean(logits_of(p, x) * Tensor(const))
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
 
     def test_classify_gradient_check(self):
         rng = np.random.default_rng(7)
         p = small_model()
-        z = Tensor(rng.normal(size=(4, 5)))
-        params = [p.cls_w, p.cls_b]
+        x = Tensor(rng.normal(size=(4, 3)))
         const = rng.normal(size=(4, 4))
-        fn = lambda: dc.tmean(classify(p, z) * Tensor(const))
+        params = [p.cls_w, p.cls_b]
+        fn = lambda: dc.tmean(logits_of(p, x) * Tensor(const))
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
 
-    def test_classify_shape_error(self):
+    def test_logits_of_shape_error(self):
         p = small_model()
         with pytest.raises(ShapeError):
-            classify(p, Tensor(np.zeros((2, 3))))
+            logits_of(p, Tensor(np.zeros((2, 2))))
 
     def test_emp_forward_zero_weights_uniform(self):
         p = small_model()
@@ -245,7 +249,7 @@ class TestTapeFreeForward:
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         x = np.random.default_rng(m).normal(scale=2.0, size=(m, d))
         assert np.array_equal(forward_np(p, x), logits_of(p, Tensor(x)).data)
-        assert np.array_equal(encode_np(p, x), encode(p, Tensor(x)).data)
+        assert np.array_equal(encode_np(p, x), unfused_features(p, Tensor(x)).data)
 
     @pytest.mark.parametrize("m", FORWARD_ROWS)
     def test_grid_head_bit_identical_to_taped(self, m):
@@ -270,15 +274,19 @@ class TestTapeFreeForward:
             encode_np(p, np.zeros(3))
 
 
-def unfused_logits_of(p, x):
-    """logits_of as the matmul -> add -> relu chain of separate nodes."""
+def unfused_features(p, x):
+    """The encoder as the matmul -> add -> relu chain of separate nodes."""
     h = dc.relu(dc.matmul(x, p.enc_w1) + p.enc_b1)
-    z = dc.matmul(h, p.enc_w2) + p.enc_b2
-    return dc.matmul(z, p.cls_w) + p.cls_b
+    return dc.matmul(h, p.enc_w2) + p.enc_b2
+
+
+def unfused_logits_of(p, x):
+    return dc.matmul(unfused_features(p, x), p.cls_w) + p.cls_b
 
 
 def unfused_emp_forward(p, zs, zt):
-    h = dc.relu(dc.matmul(dc.concat_cols(zs, zt), p.emp_w1) + p.emp_b1)
+    pair = Tensor(np.concatenate([zs.data, zt.data], axis=1))
+    h = dc.relu(dc.matmul(pair, p.emp_w1) + p.emp_b1)
     return dc.matmul(h, p.emp_w2) + p.emp_b2
 
 
@@ -353,17 +361,47 @@ class TestFusedTape:
         for name in ("emp_w1", "emp_b1", "emp_w2", "emp_b2"):
             assert np.array_equal(fused[name], unfused[name]), name
 
-    def test_one_node_per_layer_and_leaf_only_grads(self):
+    def test_one_node_per_network_and_leaf_only_grads(self):
         p = small_model()
-        x = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
-        z = encode(p, x)
-        hidden = z._parents[0]
-        assert z._parents[1:] == (p.enc_w2, p.enc_b2)
-        assert hidden._parents == (x, p.enc_w1, p.enc_b1)
-        backward(dc.tmean(classify(p, z)))
-        assert z.grad is None and hidden.grad is None
-        assert x.grad is None
-        assert all(t.grad is not None for t in p.theta_params())
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(4, 3)))
+        zs, zt = (Tensor(rng.normal(size=(4, 5))) for _ in range(2))
+        logits, grid = logits_of(p, x), emp_forward(p, zs, zt)
+        assert logits._parents == tuple(p.theta_params())
+        assert grid._parents == tuple(p.phi_params())
+        backward(dc.tmean(logits) + dc.tmean(grid))
+        assert logits.grad is None and grid.grad is None
+        assert x.grad is None and zs.grad is None and zt.grad is None
+        assert all(t.grad is not None for _, t in p.named_params())
+
+    def test_tracked_input_refused(self):
+        # the nodes compute no input gradient, so it would be lost silently
+        p = small_model()
+        rng = np.random.default_rng(3)
+        with pytest.raises(ContractError, match="constant inputs"):
+            logits_of(p, Tensor(rng.normal(size=(4, 3)), requires_grad=True))
+        const = Tensor(rng.normal(size=(4, 5)))
+        tracked = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        for zs, zt in ((tracked, const), (const, tracked)):
+            with pytest.raises(ContractError, match="constant inputs"):
+                emp_forward(p, zs, zt)
+
+    def test_nan_and_negative_zero_pre_activations_match_the_unfused_chain(self):
+        # the -0.0 rows: (-1e-200 * 1e-200) underflows to -0.0 and adds to
+        # -0.0 * 1.0; the nan rows come from a nan input and from inf - inf
+        p = init_model(d=2, n_classes=3, feat_dim=2, hidden=4, seed=0)
+        p.enc_w1.data = np.array([[1e-200, -1.0, 2.0, 1.0], [-0.0, -0.0, 1.0, 2.0]])
+        p.enc_b1.data = np.array([-0.0, -0.0, 0.5, -np.inf])
+        x = np.array([[-1e-200, 1.0], [1e-200, -1.0], [np.nan, 1.0],
+                      [np.inf, 1.0], [3.0, -2.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            pre = dc.affine_np(x, p.enc_w1.data, p.enc_b1.data)
+            fused = logits_of(p, Tensor(x)).data
+            chain = unfused_logits_of(p, Tensor(x)).data
+            plain = forward_np(p, x)
+        assert (np.signbit(pre) & (pre == 0.0)).any() and np.isnan(pre).any()
+        assert_same_bits(fused, chain)
+        assert_same_bits(fused, plain)
 
 
 class TestCheckpoint:

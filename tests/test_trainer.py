@@ -19,6 +19,7 @@ from vicinalda.contrastive import (
 )
 from vicinalda.domains import DomainBatcher
 from vicinalda.model import (
+    RATIO_GRID,
     copy_params,
     init_model,
     load_checkpoint,
@@ -92,6 +93,9 @@ def finite_floats(**bounds):
 def configs(draw):
     """TrainConfigs whose numeric fields pass validate(); out_dir is any text."""
     n = draw(st.integers(4, 10**6))
+    omega = draw(finite_floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    # the space bounds admit at least the grid ratio r
+    r = draw(st.sampled_from([float(v) for v in RATIO_GRID if v - omega >= 0 and v + omega <= 1]))
     return TrainConfig(
         dataset=draw(st.sampled_from(["two_moons", "blobs"])),
         n_per_domain=n,
@@ -107,9 +111,7 @@ def configs(draw):
         lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
         phi_lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
         momentum=draw(finite_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
-        omega=draw(
-            finite_floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
-        ),
+        omega=omega,
         alpha=draw(finite_floats()),
         beta=draw(finite_floats()),
         lam_p=draw(finite_floats(min_value=0.0, max_value=0.5)),
@@ -117,8 +119,8 @@ def configs(draw):
         w_emp=draw(finite_floats(min_value=0.0)),
         w_ct=draw(finite_floats(min_value=0.0)),
         w_cs=draw(finite_floats(min_value=0.0)),
-        space_sd=draw(finite_floats()),
-        space_td=draw(finite_floats()),
+        space_sd=draw(finite_floats(min_value=0.0, max_value=r - omega)),
+        space_td=draw(finite_floats(min_value=r + omega, max_value=1.0)),
         feat_dim=draw(st.integers(1, 10**6)),
         hidden=draw(st.integers(1, 10**6)),
         hidden_g=draw(st.integers(1, 10**6)),
@@ -196,6 +198,25 @@ class TestConfig:
         with pytest.raises(ContractError, match=message):
             train(TrainConfig(out_dir=str(out), **kw))
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "space_sd,space_td,message",
+        [
+            (0.9, 0.1, "no grid ratio"),
+            (0.05, 0.28, "no grid ratio"),
+            # 0.2 + 0.1 is 0.30000000000000004, as build_contrastive_pairs computes it
+            (0.1, 0.3, "no grid ratio"),
+            (-1.0, 2.0, r"must lie in \[0, 1\]"),
+            (0.0, 1.5, r"must lie in \[0, 1\]"),
+        ],
+    )
+    def test_space_bounds_that_switch_phase_3_off_refused(self, space_sd, space_td, message):
+        with pytest.raises(ContractError, match=message):
+            TrainConfig(space_sd=space_sd, space_td=space_td).validate()
+
+    @pytest.mark.parametrize("space_sd,space_td", [(0.0, 1.0), (0.3, 0.7), (0.1, 0.4)])
+    def test_space_bounds_around_a_grid_ratio_accepted(self, space_sd, space_td):
+        TrainConfig(space_sd=space_sd, space_td=space_td).validate()
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=configs())
@@ -389,6 +410,21 @@ class TestCoviStep:
         assert row.cs_keep == cs_keep
         assert row.agreement == agreement
         assert (row.source_acc, row.target_acc) == evaluate(q, ds)
+
+    @pytest.mark.parametrize("summed", [False, True], ids=["sequential", "summed"])
+    def test_step_leaves_no_gradient_behind(self, summed):
+        # each optimizer step clears its own group, and no phase writes the
+        # other group's gradients, so nothing is left for the next step
+        cfg = tiny_cfg(summed_theta_update=summed)
+        ds, p, seeds = setup_run(cfg)
+        batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
+        covi_step(
+            p, batcher.next_batch(), cfg,
+            SGD(p.theta_params(), cfg.lr, cfg.momentum),
+            SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
+            np.random.default_rng(seeds.views), ds, 0,
+        )
+        assert [name for name, t in p.named_params() if t.grad is not None] == []
 
     def test_summed_update_differs_but_is_deterministic(self):
         results = [

@@ -11,7 +11,6 @@ from vicinalda.domains import DomainBatch
 from vicinalda.model import (
     RATIO_GRID,
     emp_forward,
-    encode,
     forward_np,
     init_model,
     logits_of,
@@ -31,7 +30,7 @@ from vicinalda.vicinal import (
     ratios,
 )
 
-from test_model import params_checksum, perturbed_model
+from test_model import params_checksum, perturbed_model, unfused_features
 
 
 def random_batch(rng, m=6, d=3, n=3):
@@ -119,7 +118,12 @@ class TestBruteForce:
         p = init_model(d=3, n_classes=3, seed=2)
         batch = random_batch(rng, m=16)
         lam = brute_force_emp(p, batch)
-        table = grid_entropy_table(p, batch)
+        # recomputed ratio by ratio, not the stacked table brute_force_emp reads
+        xs, xt = batch.xs.data, batch.xt.data
+        table = np.stack(
+            [dc.entropy_rows_np(logits_of(p, Tensor(mix_np(xs, xt, g))).data) for g in RATIO_GRID],
+            axis=1,
+        )
         chosen = table[np.arange(batch.m), (lam.values * 10).round().astype(int)]
         assert np.all(chosen[:, None] >= table - 1e-15)
 
@@ -222,7 +226,7 @@ class TestTapeFreeRatioMachinery:
     def test_argmax_matches_taped_grid_logits(self, d, n_classes, feat_dim, hidden, m):
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
-        zs, zt = Tensor(encode(p, batch.xs).data), Tensor(encode(p, batch.xt).data)
+        zs, zt = (Tensor(unfused_features(p, x).data) for x in (batch.xs, batch.xt))
         taped = emp_forward(p, zs, zt).data
         assert np.array_equal(_pair_grid_logits(p, batch).data, taped)
         expected = RATIO_GRID[np.argmax(taped, axis=1)]
