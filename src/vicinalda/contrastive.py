@@ -115,19 +115,27 @@ def top2_of(logits) -> Top2:
 
 
 def contrastive_loss(
-    p: ModelParams, pairs: ContrastivePair, ys: Tensor, yt_hat: Tensor
-) -> Tensor:
+    p: ModelParams,
+    pairs: ContrastivePair,
+    ys: Tensor,
+    yt_hat: Tensor,
+    *,
+    return_logits: bool = False,
+):
     """Sum of the two swapped-label risks over the kept pairs.
 
     Per kept pair i (target fractions lam_sd < lam* < lam_td):
       target-dominant label = lam_td * yt_hat_i + (1 - lam_td) * top1(z_sd_i)
       source-dominant label = (1 - lam_sd) * ys_i + lam_sd * top1(z_td_i)
     Both cross entropies average over the kept pairs only. An empty kept
-    set contributes a constant zero.
+    set contributes a constant zero. With return_logits, returns
+    `(loss, z_sd, z_td)`, the view logits the loss tapes ([0 x n] when
+    no pair is kept).
     """
-    if pairs.n_kept == 0:
-        return Tensor(0.0)
     n = p.n_classes
+    if pairs.n_kept == 0:
+        loss = Tensor(0.0)
+        return (loss, np.empty((0, n)), np.empty((0, n))) if return_logits else loss
     idx = pairs.kept_indices
     z_sd = logits_of(p, pairs.x_sd)
     z_td = logits_of(p, pairs.x_td)
@@ -138,19 +146,23 @@ def contrastive_loss(
     lam_td = pairs.lam_td.values[:, None]
     label_td = lam_td * yt_hat.data[idx] + (1.0 - lam_td) * top1_sd
     label_sd = (1.0 - lam_sd) * ys.data[idx] + lam_sd * top1_td
-    return dc.cross_entropy(z_td, label_td) + dc.cross_entropy(z_sd, label_sd)
+    loss = dc.cross_entropy(z_td, label_td) + dc.cross_entropy(z_sd, label_sd)
+    return (loss, z_sd.data, z_td.data) if return_logits else loss
 
 
-def swap_agreement(p: ModelParams, pairs: ContrastivePair) -> float:
-    """Fraction of kept pairs whose views agree in the swapped sense:
-    top1 of each view equals top2 of the other. Empty kept set counts 0."""
-    if pairs.n_kept == 0:
+def swap_agreement_of(z_sd: np.ndarray, z_td: np.ndarray) -> float:
+    """Fraction of rows whose two view logits agree in the swapped sense:
+    top1 of each view equals top2 of the other. No rows count 0."""
+    if z_sd.shape[0] == 0:
         return 0.0
-    z_sd = forward_np(p, pairs.x_sd.data)
-    z_td = forward_np(p, pairs.x_td.data)
     k1_sd, k2_sd = top2_of(z_sd)
     k1_td, k2_td = top2_of(z_td)
     return float(np.mean((k1_sd == k2_td) & (k1_td == k2_sd)))
+
+
+def swap_agreement(p: ModelParams, pairs: ContrastivePair) -> float:
+    """`swap_agreement_of` the kept pairs' views at this theta."""
+    return swap_agreement_of(forward_np(p, pairs.x_sd.data), forward_np(p, pairs.x_td.data))
 
 
 def dominance_fractions(

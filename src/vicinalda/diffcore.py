@@ -8,7 +8,9 @@ reshape, sums, softmax and the two losses. Each model network is one
 
 Tracked tensors are never mutated in place; the only writers of raw
 buffers are the optimizer (parameters, velocities) and backward (the
-grad of leaf tensors).
+grad of leaf tensors). The optimizer bumps a parameter's version on every
+write, and backward refuses a graph built before such a write: its VJPs
+would mix the old activations with the new weights.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ class Tensor:
     Tensors without a `_vjp` are leaves: parameters and other tracked
     inputs. backward() writes `grad` on leaves only, allocating it lazily
     and accumulating additively until cleared; op outputs keep grad None.
+    `_version` counts the optimizer steps that wrote `data`; a node keeps
+    its parents' versions as of its forward in `_parent_versions`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_version",
+                 "_parent_versions")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -45,6 +50,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._version = 0
+        self._parent_versions: tuple[int, ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,11 +100,13 @@ def as_tensor(x) -> Tensor:
 
 
 def tape_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Op output holding `data`; if a parent is tracked, it records `parents`
-    and `vjp` (output gradient -> one gradient or None per parent)."""
+    """Op output holding `data`; if a parent is tracked, it records `parents`,
+    their versions, and `vjp` (output gradient -> one gradient or None per
+    parent)."""
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
+        out._parent_versions = tuple(p._version for p in parents)
         out._vjp = vjp
     return out
 
@@ -338,7 +347,8 @@ def backward(loss: Tensor) -> None:
     table so earlier accumulated grads never feed back into the current
     pass; a node's incoming gradient leaves the table once its VJP has
     run, and a None parent gradient (one its VJP did not compute) is
-    skipped.
+    skipped. A graph whose parameters an optimizer step has written since
+    it was built raises ContractError before any gradient is written.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -357,7 +367,12 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent, version in zip(node._parents, node._parent_versions):
+            if parent._version != version:
+                raise ContractError(
+                    f"backward through a stale graph: parent {parent!r} was written "
+                    "by an optimizer step after the loss was built"
+                )
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
@@ -437,8 +452,9 @@ class SGD:
     """SGD with classical momentum over a fixed parameter list.
 
     step() applies v <- momentum*v + grad; p <- p - lr*v, then clears the
-    grads of its own parameters. Parameters and velocity buffers are the
-    only arrays this class mutates.
+    grads of its own parameters and bumps their versions, so a graph built
+    before the step can no longer be backpropagated. Parameters and
+    velocity buffers are the only arrays this class mutates.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0):
@@ -459,3 +475,4 @@ class SGD:
             v += p.grad
             p.data -= self.lr * v
             p.grad = None
+            p._version += 1

@@ -208,8 +208,12 @@ def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
     return affine_np(h, p.enc_w2.data, p.enc_b2.data)
 
 
+def _classify_rows(p: ModelParams, z: np.ndarray) -> np.ndarray:
+    return affine_np(z, p.cls_w.data, p.cls_b.data)
+
+
 def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    return affine_np(_encode_rows(p, x), p.cls_w.data, p.cls_b.data)
+    return _classify_rows(p, _encode_rows(p, x))
 
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
@@ -222,6 +226,15 @@ def encode_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     `forward_np`, without the classifier."""
     _check_inputs(p, x)
     return _by_row_blocks(lambda xb: _encode_rows(p, xb), p.feat_dim, x)
+
+
+def classify_np(p: ModelParams, z: np.ndarray) -> np.ndarray:
+    """Tape-free class logits of encoder features: the classifier half of
+    `forward_np`. It runs the same row blocks, so
+    `classify_np(p, encode_np(p, x))` has the bits of `forward_np(p, x)`."""
+    if z.ndim != 2 or z.shape[1] != p.feat_dim:
+        raise ShapeError(f"features must be [m x {p.feat_dim}], got {z.shape}")
+    return _by_row_blocks(lambda zb: _classify_rows(p, zb), p.n_classes, z)
 
 
 def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:

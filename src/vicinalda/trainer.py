@@ -23,7 +23,7 @@ from .contrastive import (
     build_contrastive_pairs,
     confidence_mask,
     contrastive_loss,
-    swap_agreement,
+    swap_agreement_of,
     top1_probs,
 )
 from .diffcore import SGD, ContractError, Tensor, backward
@@ -37,13 +37,15 @@ from .domains import (
 from .model import (
     RATIO_GRID,
     ModelParams,
+    atomic_open,
+    classify_np,
     forward_np,
     init_model,
     logits_of,
     one_hot_argmax,
     save_checkpoint,
 )
-from .vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix_np
+from .vicinal import emp_argmax_of, emp_learner_loss, emp_mixup_loss, mix_np
 
 METRICS_HEADER = (
     "step,r_emp,r_ct,r_cs,source_acc,target_acc,mean_lambda_star,ct_keep,cs_keep,agreement"
@@ -297,7 +299,7 @@ def _abort_diverged(reason: str, step: int, cfg: TrainConfig, p: ModelParams):
         lines.append(f"param {name}: |max|={np.max(np.abs(t.data)):.6e}")
     dump = "\n".join(lines) + "\n"
     if os.path.isdir(cfg.out_dir):
-        with open(os.path.join(cfg.out_dir, f"diverged_step_{step}.txt"), "w") as fh:
+        with atomic_open(os.path.join(cfg.out_dir, f"diverged_step_{step}.txt")) as fh:
             fh.write(dump)
     raise TrainingDiverged(dump)
 
@@ -335,20 +337,24 @@ def covi_step(
     backward+step on the same pre-step theta. Each optimizer step clears
     its own group's gradients, and no phase writes the other group's, so
     every phase starts from cleared gradients.
+
+    Theta does not move before phase 2, so phase 1's encoder features also
+    give lambda* and phase 2's pseudo labels; the r_emp entropy and the swap
+    agreement read the logits the losses tape. Each reused array is dropped
+    when its phase ends.
     """
     _check_params_finite(step, cfg, p)
 
     # phase 1: ratio-learner ascent, theta frozen
-    loss_phi = emp_learner_loss(p, batch)
+    loss_phi, zs, zt = emp_learner_loss(p, batch, return_features=True)
     _check_finite(loss_phi.item(), "ratio-learner ascent", step, cfg, p)
     backward(dc.neg(loss_phi))
     opt_phi.step()
+    del loss_phi
 
-    lam_star = emp_argmax(p, batch)
+    lam_star = emp_argmax_of(p, zs, zt)
     mean_lambda = float(lam_star.values.mean())
-    # adversary's achieved entropy at the chosen ratios, for the r_emp metric
-    x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
-    ent_at_star = float(np.mean(dc.entropy_rows_np(forward_np(p, x_star))))
+    del zs
 
     r_mix = 0.0
     r_ct = 0.0
@@ -369,8 +375,19 @@ def covi_step(
                 opt_theta.step()
         return value
 
+    # phase 2: worst-case mixup descent. The r_emp metric takes the adversary's
+    # achieved entropy at the chosen ratios from the logits the mixup tapes,
+    # or from one forward when the phase is off
     if cfg.w_emp > 0:
-        r_mix = theta_update(emp_mixup_loss(p, batch, lam_star), cfg.w_emp, "worst-case mixup")
+        yt_hat = Tensor(one_hot_argmax(classify_np(p, zt), p.n_classes))
+        loss, z_star = emp_mixup_loss(p, batch, lam_star, yt_hat, return_logits=True)
+        ent_at_star = float(np.mean(dc.entropy_rows_np(z_star)))
+        r_mix = theta_update(loss, cfg.w_emp, "worst-case mixup")
+        del loss, z_star
+    else:
+        x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
+        ent_at_star = float(np.mean(dc.entropy_rows_np(forward_np(p, x_star))))
+    del zt
 
     if cfg.w_ct > 0:
         # one target forward at this theta feeds the mask and the pseudo labels
@@ -380,11 +397,11 @@ def covi_step(
             batch, lam_star, cfg.omega, mask, cfg.space_sd, cfg.space_td
         )
         ct_keep = pairs.n_kept / batch.m
-        agreement = swap_agreement(p, pairs)
         yt_hat = Tensor(one_hot_argmax(zt, p.n_classes))
-        r_ct = theta_update(
-            contrastive_loss(p, pairs, batch.ys, yt_hat), cfg.w_ct, "contrastive"
-        )
+        loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys, yt_hat, return_logits=True)
+        agreement = swap_agreement_of(z_sd, z_td)
+        r_ct = theta_update(loss, cfg.w_ct, "contrastive")
+        del loss, z_sd, z_td
 
     if cfg.w_cs > 0:
         lam_p = cfg.lam_p

@@ -101,19 +101,15 @@ def brute_force_emp(p: ModelParams, batch: DomainBatch) -> RatioVector:
     return ratios(RATIO_GRID[np.argmax(table, axis=1)])
 
 
-def _pair_grid_logits(p: ModelParams, batch: DomainBatch) -> Tensor:
-    """Grid logits for each pair; encoder features are constants so the
-    gradient path reaches phi only."""
-    zs = Tensor(encode_np(p, batch.xs.data))
-    zt = Tensor(encode_np(p, batch.xt.data))
-    return emp_forward(p, zs, zt)
+def emp_argmax_of(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> RatioVector:
+    """Hard argmax over the learner's grid logits of source/target feature
+    pairs; constant, no gradient. Ties take the lower grid index."""
+    return ratios(RATIO_GRID[np.argmax(emp_forward_np(p, zs, zt), axis=1)])
 
 
 def emp_argmax(p: ModelParams, batch: DomainBatch) -> RatioVector:
-    """Hard argmax over the learner's grid logits; constant, no gradient.
-    Ties take the lower grid index."""
-    logits = emp_forward_np(p, encode_np(p, batch.xs.data), encode_np(p, batch.xt.data))
-    return ratios(RATIO_GRID[np.argmax(logits, axis=1)])
+    """`emp_argmax_of` on the batch's encoder features at this theta."""
+    return emp_argmax_of(p, encode_np(p, batch.xs.data), encode_np(p, batch.xt.data))
 
 
 GRID_TEMPERATURE = 0.3  # sharpening of the per-pair entropy profile target
@@ -132,7 +128,7 @@ def grid_profile_target(table: np.ndarray, tau: float = GRID_TEMPERATURE) -> np.
     return dc.softmax_np(standardized / tau)
 
 
-def emp_learner_loss(p: ModelParams, batch: DomainBatch) -> Tensor:
+def emp_learner_loss(p: ModelParams, batch: DomainBatch, *, return_features: bool = False):
     """Ratio-learner objective, to be MAXIMIZED in phi with theta frozen.
 
     Gibbs variational form of per-pair entropy maximization over the grid:
@@ -148,19 +144,37 @@ def emp_learner_loss(p: ModelParams, batch: DomainBatch) -> Tensor:
     measured first and rejected: its logit updates are proportional to
     p_k * (grid_k - lam), an exponential-family tilt that parks the hard
     argmax at a grid endpoint while only the expectation tracks the peak.
+
+    With return_features, returns `(loss, zs, zt)`: the encoder features of
+    batch.xs and batch.xt the learner read. A phi step leaves them valid,
+    so they serve every later forward of these rows at this theta.
     """
     table = grid_entropy_table(p, batch)  # constants w.r.t. phi
     target = grid_profile_target(table)
-    return dc.neg(dc.cross_entropy(_pair_grid_logits(p, batch), target))
+    zs, zt = encode_np(p, batch.xs.data), encode_np(p, batch.xt.data)
+    loss = dc.neg(dc.cross_entropy(emp_forward(p, Tensor(zs), Tensor(zt)), target))
+    return (loss, zs, zt) if return_features else loss
 
 
-def emp_mixup_loss(p: ModelParams, batch: DomainBatch, lam_star: RatioVector) -> Tensor:
+def emp_mixup_loss(
+    p: ModelParams,
+    batch: DomainBatch,
+    lam_star: RatioVector,
+    yt_hat: Tensor | None = None,
+    *,
+    return_logits: bool = False,
+):
     """Worst-case vicinal risk for theta: cross entropy of the mix at the
     learned worst-case ratios against correspondingly mixed labels.
 
     lam_star is treated as a constant; pseudo labels carry no gradient, so
-    the gradient reaches theta only.
+    the gradient reaches theta only. `yt_hat` is `pseudo_labels(p, batch.xt)`
+    at this theta, when the caller already has it. With return_logits,
+    returns `(loss, z)`, z the logits of the mix the loss tapes.
     """
+    if yt_hat is None:
+        yt_hat = pseudo_labels(p, batch.xt)
     x_mix = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
-    y_mix = mix_labels(batch.ys, pseudo_labels(p, batch.xt), lam_star)
-    return dc.cross_entropy(logits_of(p, Tensor(x_mix)), y_mix)
+    z = logits_of(p, Tensor(x_mix))
+    loss = dc.cross_entropy(z, mix_labels(batch.ys, yt_hat, lam_star))
+    return (loss, z.data) if return_logits else loss

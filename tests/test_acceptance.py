@@ -6,8 +6,10 @@ multi-seed training artifacts are built once per module.
 """
 
 import hashlib
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -79,19 +81,43 @@ def random_batch(rng, m=6, d=3, n=3):
     )
 
 
+def _timed_train(cfg):
+    """One fixture train, run in a pool worker: its wall time and metrics path."""
+    start = time.time()
+    _, metrics_path = train(cfg)
+    return time.time() - start, metrics_path
+
+
 @pytest.fixture(scope="module")
-def default_runs(tmp_path_factory):
+def fixture_trains(tmp_path_factory):
+    """The ten fixture trains, five full and five mixup-only, submitted at
+    once to one spawn pool of at most two workers (never more than the
+    cores). Maps ("full" | "emp", seed) to (config, future); a fixture that
+    waits on its futures charges the wait to its own wall time."""
+    configs = {}
+    for seed in range(5):
+        out = str(tmp_path_factory.mktemp(f"full_seed{seed}"))
+        configs["full", seed] = TrainConfig(seed=seed, out_dir=out)
+    for seed in range(5):
+        out = str(tmp_path_factory.mktemp(f"emp_seed{seed}"))
+        configs["emp", seed] = TrainConfig(seed=seed, out_dir=out, w_ct=0.0, w_cs=0.0)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=context) as pool:
+        yield {key: (cfg, pool.submit(_timed_train, cfg)) for key, cfg in configs.items()}
+
+
+@pytest.fixture(scope="module")
+def default_runs(fixture_trains):
     """Five full default-config runs plus their warmup checkpoints."""
     runs = []
     t0 = time.time()
     for seed in range(5):
-        out = str(tmp_path_factory.mktemp(f"full_seed{seed}"))
-        cfg = TrainConfig(seed=seed, out_dir=out)
-        run_start = time.time()
-        final, metrics_path = train(cfg)
-        assert time.time() - run_start < 300.0  # default run fits the 5 min budget
+        cfg, future = fixture_trains["full", seed]
+        run_s, metrics_path = future.result()
+        assert run_s < 300.0  # default run fits the 5 min budget
         ds = make_dataset(cfg, derive_seeds(seed).data)
-        warm = load_checkpoint(f"{out}/checkpoint_warmup.ckpt")
+        warm = load_checkpoint(f"{cfg.out_dir}/checkpoint_warmup.ckpt")
+        final = load_checkpoint(f"{cfg.out_dir}/checkpoint_final.ckpt")
         warm_src, warm_tgt = evaluate(warm, ds)
         runs.append(
             dict(
@@ -109,16 +135,16 @@ def default_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def emp_only_runs(tmp_path_factory):
+def emp_only_runs(fixture_trains):
     """Five runs with only the worst-case mixup loss enabled."""
     runs = []
     t0 = time.time()
     for seed in range(5):
-        out = str(tmp_path_factory.mktemp(f"emp_seed{seed}"))
-        cfg = TrainConfig(seed=seed, out_dir=out, w_ct=0.0, w_cs=0.0)
-        final, _ = train(cfg)
+        cfg, future = fixture_trains["emp", seed]
+        future.result()
         ds = make_dataset(cfg, derive_seeds(seed).data)
-        warm = load_checkpoint(f"{out}/checkpoint_warmup.ckpt")
+        warm = load_checkpoint(f"{cfg.out_dir}/checkpoint_warmup.ckpt")
+        final = load_checkpoint(f"{cfg.out_dir}/checkpoint_final.ckpt")
         runs.append(dict(warm_tgt=evaluate(warm, ds)[1], final_tgt=evaluate(final, ds)[1]))
     return dict(runs=runs, elapsed=time.time() - t0)
 

@@ -245,6 +245,20 @@ class TestBackward:
         for node in (h, z, loss):
             assert node.requires_grad and node.grad is None
 
+    def test_graph_built_before_an_optimizer_step_is_refused(self):
+        rng = np.random.default_rng(23)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        fn = lambda: dc.tsum(matmul(x, w) * matmul(x, w))
+        stale = fn()
+        backward(fn())
+        SGD([w], lr=0.1).step()
+        with pytest.raises(ContractError, match="stale graph"):
+            backward(stale)
+        assert w.grad is None
+        backward(fn())
+        assert w.grad is not None
+
     def test_grads_finite_after_composite_graph(self):
         rng = np.random.default_rng(21)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

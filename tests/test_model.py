@@ -12,6 +12,7 @@ from vicinalda.diffcore import SGD, ContractError, ShapeError, Tensor, backward
 from vicinalda.model import (
     FORWARD_BLOCK_ROWS,
     RATIO_GRID,
+    classify_np,
     copy_params,
     emp_forward,
     emp_forward_np,
@@ -239,7 +240,10 @@ FORWARD_SHAPES = [
     pytest.param(2, 2, 32, 64, id="default"),
     pytest.param(16, 5, 64, 256, id="wide"),
 ]
-FORWARD_ROWS = [1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 2 * FORWARD_BLOCK_ROWS + 1, 2000]
+# 300 and 512 are kept-pair and batch sizes at which the step reads taped
+# logits (one unblocked product) where it used to run the blocked forward
+FORWARD_ROWS = [1, 64, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 300, 2 * FORWARD_BLOCK_ROWS,
+                2 * FORWARD_BLOCK_ROWS + 1, 2000]
 
 
 class TestTapeFreeForward:
@@ -248,8 +252,11 @@ class TestTapeFreeForward:
     def test_bit_identical_to_taped(self, d, n_classes, feat_dim, hidden, m):
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         x = np.random.default_rng(m).normal(scale=2.0, size=(m, d))
-        assert np.array_equal(forward_np(p, x), logits_of(p, Tensor(x)).data)
+        logits = forward_np(p, x)
+        assert_same_bits(logits, logits_of(p, Tensor(x)).data)
         assert np.array_equal(encode_np(p, x), unfused_features(p, Tensor(x)).data)
+        # the step classifies features it already encoded
+        assert_same_bits(classify_np(p, encode_np(p, x)), logits)
 
     @pytest.mark.parametrize("m", FORWARD_ROWS)
     def test_grid_head_bit_identical_to_taped(self, m):
@@ -272,6 +279,8 @@ class TestTapeFreeForward:
             forward_np(p, np.zeros((4, 2)))
         with pytest.raises(ShapeError):
             encode_np(p, np.zeros(3))
+        with pytest.raises(ShapeError):
+            classify_np(p, np.zeros((4, p.feat_dim + 1)))
 
 
 def unfused_features(p, x):

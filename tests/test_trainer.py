@@ -464,14 +464,36 @@ class TestCoviStep:
         ds, p, seeds = setup_run(cfg)
         p.enc_w1.data[0, 0] = np.nan
         batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as excinfo:
             covi_step(
                 p, batcher.next_batch(), cfg,
                 SGD(p.theta_params(), cfg.lr, cfg.momentum),
                 SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
                 np.random.default_rng(seeds.views), ds, 3,
             )
-        assert (tmp_path / "diverged_step_3.txt").exists()
+        expected = "aborted at step 3: non-finite values in parameter enc_w1\n" + "".join(
+            f"param {name}: |max|={np.max(np.abs(t.data)):.6e}\n" for name, t in p.named_params()
+        )
+        assert (tmp_path / "diverged_step_3.txt").read_text(encoding="utf-8") == expected
+        assert str(excinfo.value) == expected
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["diverged_step_3.txt"]
+
+    def test_theta_graph_outlives_a_phi_step_but_not_a_theta_step(self):
+        cfg = tiny_cfg()
+        ds, p, seeds = setup_run(cfg)
+        batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
+        batch = batcher.next_batch()
+        opt_theta = SGD(p.theta_params(), cfg.lr, cfg.momentum)
+        opt_phi = SGD(p.phi_params(), cfg.phi_lr, cfg.momentum)
+        loss = dc.cross_entropy(logits_of(p, batch.xs), batch.ys)
+        backward(dc.neg(emp_learner_loss(p, batch)))
+        opt_phi.step()
+        backward(loss)
+        opt_theta.step()
+        # its VJP would mix the old activations with the new weights
+        with pytest.raises(ContractError, match="stale graph"):
+            backward(loss)
+        assert [name for name, t in p.named_params() if t.grad is not None] == []
 
 
 class TestTrain:

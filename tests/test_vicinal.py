@@ -11,15 +11,16 @@ from vicinalda.domains import DomainBatch
 from vicinalda.model import (
     RATIO_GRID,
     emp_forward,
+    encode_np,
     forward_np,
     init_model,
     logits_of,
     pseudo_labels,
 )
 from vicinalda.vicinal import (
-    _pair_grid_logits,
     brute_force_emp,
     emp_argmax,
+    emp_argmax_of,
     emp_learner_loss,
     emp_mixup_loss,
     grid_entropy_table,
@@ -30,6 +31,7 @@ from vicinalda.vicinal import (
     ratios,
 )
 
+from test_diffcore import assert_same_bits
 from test_model import params_checksum, perturbed_model, unfused_features
 
 
@@ -41,6 +43,12 @@ def random_batch(rng, m=6, d=3, n=3):
         ys=Tensor(ys),
         xt=Tensor(rng.normal(size=(m, d))),
     )
+
+
+def pair_grid_logits(p, batch):
+    """The learner's taped grid logits on the batch's encoder features."""
+    zs, zt = (Tensor(encode_np(p, x.data)) for x in (batch.xs, batch.xt))
+    return emp_forward(p, zs, zt)
 
 
 class TestMix:
@@ -173,9 +181,7 @@ class TestEmpSoftAndArgmax:
         rng = np.random.default_rng(13)
         p = init_model(d=3, n_classes=3, seed=10)
         batch = random_batch(rng, m=10)
-        from vicinalda.vicinal import _pair_grid_logits
-
-        logits = _pair_grid_logits(p, batch).data
+        logits = pair_grid_logits(p, batch).data
         expected = RATIO_GRID[logits.argmax(axis=1)]
         assert np.array_equal(emp_argmax(p, batch).values, expected)
 
@@ -228,9 +234,24 @@ class TestTapeFreeRatioMachinery:
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
         zs, zt = (Tensor(unfused_features(p, x).data) for x in (batch.xs, batch.xt))
         taped = emp_forward(p, zs, zt).data
-        assert np.array_equal(_pair_grid_logits(p, batch).data, taped)
+        assert np.array_equal(pair_grid_logits(p, batch).data, taped)
         expected = RATIO_GRID[np.argmax(taped, axis=1)]
         assert np.array_equal(emp_argmax(p, batch).values, expected)
+
+    @pytest.mark.parametrize("d,n_classes,feat_dim,hidden,m", TAPE_FREE_CASES)
+    def test_phase_one_features_give_the_argmax_after_a_phi_step(
+        self, d, n_classes, feat_dim, hidden, m
+    ):
+        # the step's reuse: a phi step leaves the learner's features valid
+        p = perturbed_model(d, n_classes, feat_dim, hidden)
+        batch = random_batch(np.random.default_rng(m + 2), m=m, d=d, n=n_classes)
+        loss, zs, zt = emp_learner_loss(p, batch, return_features=True)
+        assert_same_bits(loss.data, emp_learner_loss(p, batch).data)
+        assert_same_bits(zs, encode_np(p, batch.xs.data))
+        assert_same_bits(zt, encode_np(p, batch.xt.data))
+        backward(dc.neg(loss))
+        SGD(p.phi_params(), lr=0.05, momentum=0.9).step()
+        assert_same_bits(emp_argmax_of(p, zs, zt).values, emp_argmax(p, batch).values)
 
 
 class TestEmpLearnerLoss:
@@ -275,7 +296,7 @@ class TestEmpLearnerLoss:
 
         def soft_entropy():
             # the learner's expected grid ratio per pair
-            lam = ratios(dc.softmax_np(_pair_grid_logits(p, batch).data) @ RATIO_GRID)
+            lam = ratios(dc.softmax_np(pair_grid_logits(p, batch).data) @ RATIO_GRID)
             return dc.entropy(logits_of(p, mix(batch.xs, batch.xt, lam))).item()
 
         start = soft_entropy()
