@@ -8,6 +8,7 @@ output. All artifacts land under --out (or the config's out_dir).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -43,7 +44,11 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: every `main` call parses
+    with it. `parse_args` returns a fresh namespace per call and copies the
+    `--set` default before appending, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="vicinalda",
         description="Minimax mixup-ratio domain adaptation on synthetic domain pairs.",
@@ -125,7 +130,7 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
     report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=min(256, ds.n_source))
     print(f"report: {report.summary_path}")
-    with open(report.summary_path) as fh:
+    with open(report.summary_path, encoding="utf-8") as fh:
         print(fh.read().rstrip())
     return 0
 

@@ -59,21 +59,38 @@ class ModelParams:
         return [self.emp_w1, self.emp_b1, self.emp_w2, self.emp_b2]
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        names = (
-            "enc_w1", "enc_b1", "enc_w2", "enc_b2",
-            "cls_w", "cls_b",
-            "emp_w1", "emp_b1", "emp_w2", "emp_b2",
-        )
-        return [(n, getattr(self, n)) for n in names]
+        return [(n, getattr(self, n)) for n in PARAM_NAMES]
 
     def dims(self) -> dict[str, int]:
-        return {
-            "d": self.d,
-            "n_classes": self.n_classes,
-            "feat_dim": self.feat_dim,
-            "hidden": self.hidden,
-            "hidden_g": self.hidden_g,
-        }
+        return {n: getattr(self, n) for n in DIM_NAMES}
+
+
+PARAM_NAMES = (
+    "enc_w1", "enc_b1", "enc_w2", "enc_b2",
+    "cls_w", "cls_b",
+    "emp_w1", "emp_b1", "emp_w2", "emp_b2",
+)
+DIM_NAMES = ("d", "n_classes", "feat_dim", "hidden", "hidden_g")
+
+
+def _param_shapes(d, n_classes, feat_dim, hidden, hidden_g) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in PARAM_NAMES order; weights are
+    [fan_in x fan_out], biases 1-D. Every dimension must be >= 1."""
+    for name, v in zip(DIM_NAMES, (d, n_classes, feat_dim, hidden, hidden_g)):
+        if v < 1:
+            raise ContractError(f"{name} must be >= 1, got {v}")
+    shapes = (
+        (d, hidden), (hidden,), (hidden, feat_dim), (feat_dim,),
+        (feat_dim, n_classes), (n_classes,),
+        (2 * feat_dim, hidden_g), (hidden_g,), (hidden_g, RATIO_GRID_SIZE), (RATIO_GRID_SIZE,),
+    )
+    return list(zip(PARAM_NAMES, shapes))
+
+
+def _params_from(dims: dict[str, int], seed: int, arrays) -> ModelParams:
+    """ModelParams holding `arrays`, in PARAM_NAMES order, as trainable leaves."""
+    tensors = {n: Tensor(a, requires_grad=True) for n, a in zip(PARAM_NAMES, arrays)}
+    return ModelParams(**tensors, **dims, seed=seed)
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -90,33 +107,12 @@ def init_model(
     seed: int = 0,
 ) -> ModelParams:
     """Fan-in-scaled uniform weights, zero biases, deterministic under seed."""
-    for name, v in (("d", d), ("n_classes", n_classes), ("feat_dim", feat_dim),
-                    ("hidden", hidden), ("hidden_g", hidden_g)):
-        if v < 1:
-            raise ContractError(f"{name} must be >= 1, got {v}")
+    dims = dict(d=d, n_classes=n_classes, feat_dim=feat_dim, hidden=hidden, hidden_g=hidden_g)
     rng = np.random.default_rng(seed)
-
-    def param(a):
-        return Tensor(a, requires_grad=True)
-
-    return ModelParams(
-        enc_w1=param(_uniform_fan_in(rng, d, hidden)),
-        enc_b1=param(np.zeros(hidden)),
-        enc_w2=param(_uniform_fan_in(rng, hidden, feat_dim)),
-        enc_b2=param(np.zeros(feat_dim)),
-        cls_w=param(_uniform_fan_in(rng, feat_dim, n_classes)),
-        cls_b=param(np.zeros(n_classes)),
-        emp_w1=param(_uniform_fan_in(rng, 2 * feat_dim, hidden_g)),
-        emp_b1=param(np.zeros(hidden_g)),
-        emp_w2=param(_uniform_fan_in(rng, hidden_g, RATIO_GRID_SIZE)),
-        emp_b2=param(np.zeros(RATIO_GRID_SIZE)),
-        d=d,
-        n_classes=n_classes,
-        feat_dim=feat_dim,
-        hidden=hidden,
-        hidden_g=hidden_g,
-        seed=seed,
-    )
+    # weights drawn in PARAM_NAMES order
+    arrays = [_uniform_fan_in(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+              for _, shape in _param_shapes(**dims)]
+    return _params_from(dims, seed, arrays)
 
 
 def _constant(x: Tensor) -> np.ndarray:
@@ -336,28 +332,30 @@ def load_checkpoint(path: str) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {version}")
     offset += hlen
-    # checked before init_model allocates anything the header asks for
+    # checked before anything the header asks for is allocated
     if len(raw) - offset != n_bytes:
         raise ContractError(
             f"{path}: checkpoint holds {len(raw) - offset} array bytes, expected {n_bytes}"
         )
-    try:
-        p = init_model(seed=header["seed"], **header["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"{path}: malformed checkpoint header ({exc!r})") from None
-    expected = [(name, t.data.shape) for name, t in p.named_params()]
+    dims, seed = header.get("dims"), header.get("seed")
+    if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_NAMES)
+            and all(type(v) is int for v in dims.values())
+            and type(seed) is int and seed >= 0):
+        raise ContractError(
+            f"{path}: malformed checkpoint header (dims {dims!r}, seed {seed!r}); expected "
+            f"integer dims {', '.join(DIM_NAMES)} and a non-negative integer seed"
+        )
+    expected = _param_shapes(**dims)
     if specs != expected:
         raise ContractError(f"{path}: checkpoint arrays {specs} do not match the model {expected}")
-    for _, t in p.named_params():
-        a = np.frombuffer(raw, dtype="<f8", count=t.data.size, offset=offset)
-        t.data = a.reshape(t.data.shape).copy()
+    arrays = []
+    for _, shape in expected:
+        a = np.frombuffer(raw, dtype="<f8", count=math.prod(shape), offset=offset)
+        arrays.append(a.reshape(shape).copy())
         offset += a.nbytes
-    return p
+    return _params_from(dims, seed, arrays)
 
 
 def copy_params(p: ModelParams) -> ModelParams:
     """Deep copy of all parameter tensors (fresh, untracked buffers)."""
-    q = init_model(seed=p.seed, **p.dims())
-    for (_, src), (_, dst) in zip(p.named_params(), q.named_params()):
-        dst.data = src.data.copy()
-    return q
+    return _params_from(p.dims(), p.seed, [t.data.copy() for _, t in p.named_params()])

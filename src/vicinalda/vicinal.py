@@ -76,19 +76,28 @@ def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     return Tensor((1.0 - lam_col) * ys.data + lam_col * yt_hat.data)
 
 
+def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Class logits of every source/target pair mixed at every grid ratio,
+    shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
+    ratio k. One stacked forward, with the same elementwise mix as one
+    forward per ratio. A row keeps the bits of its per-ratio forward where
+    BLAS sums it alike in both: always when m is the 256-row forward block,
+    since each ratio is then one block, and otherwise as measured (OpenBLAS,
+    x86-64) at the default shape for every m that is a multiple of 4, as the
+    default batch of 64 is, and at the wide shape for every m tried.
+    """
+    mixes = mix_np(xs, xt, RATIO_GRID[:, None, None])
+    return forward_np(p, mixes.reshape(-1, mixes.shape[2]))
+
+
 def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:
     """Per-pair prediction entropy at every grid ratio, shape [m x 11].
 
     Plain-array computation, no tape; this is the exhaustive view of the
-    entropy landscape the ratio learner is trained to summarize. All 11
-    mixes go through one stacked [11m x d] forward, ratio-major, with the
-    same elementwise mix as one forward per ratio. A row keeps the bits of
-    its per-ratio forward where BLAS sums it alike in both, measured (OpenBLAS,
-    x86-64) at the default shape for every m that is a multiple of 4, as the
-    default 64 is, and at the wide shape for every m tried.
+    entropy landscape the ratio learner is trained to summarize, read from
+    the stacked `grid_logits`.
     """
-    mixes = mix_np(batch.xs.data, batch.xt.data, RATIO_GRID[:, None, None])
-    entropies = dc.entropy_rows_np(forward_np(p, mixes.reshape(-1, mixes.shape[2])))
+    entropies = dc.entropy_rows_np(grid_logits(p, batch.xs.data, batch.xt.data))
     # C order: numpy sums the rows of a transposed view in another order,
     # which would move the bits of the row statistics taken from the table
     return np.ascontiguousarray(entropies.reshape(-1, batch.m).T)

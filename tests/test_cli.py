@@ -158,3 +158,88 @@ class TestSelftestVerb:
         assert res.stdout.count("[PASS]") == 6
         assert "[FAIL]" not in res.stdout
         assert elapsed < 120.0
+
+
+class TestParserReuse:
+    """`main` parses every call with one parser built once per process; a
+    call must not see the flags, errors or help output of the one before."""
+
+    @pytest.fixture()
+    def fresh_out(self, tmp_path):
+        from vicinalda.trainer import derive_seeds
+
+        out = str(tmp_path / "fresh")
+        os.makedirs(out)
+        p = init_model(d=2, n_classes=2, seed=derive_seeds(0).model)
+        save_checkpoint(p, os.path.join(out, "checkpoint_final.ckpt"))
+        return out
+
+    def test_flags_do_not_carry_over(self, fresh_out, capsys):
+        from vicinalda.cli import main
+
+        code = main(["eval", "--out", fresh_out, "--seed", "3",
+                     "--set", "rotation_deg=80", "--set", "n_per_domain=160"])
+        first = capsys.readouterr().out
+        assert code == 0
+        assert "seed = 3" in first and "rotation_deg = 80.0" in first
+        assert main(["eval", "--out", fresh_out]) == 0
+        second = capsys.readouterr().out
+        assert "seed = 0" in second
+        assert "rotation_deg = 40.0" in second
+        assert "n_per_domain = 1000" in second
+
+    def test_good_call_after_usage_error_and_help(self, fresh_out, capsys):
+        from vicinalda.cli import main
+
+        assert main(["eval", "--out", fresh_out, "--frobnicate"]) == 2
+        assert "--frobnicate" in capsys.readouterr().err
+        assert main(["eval", "--help"]) == 0
+        assert "--seed" in capsys.readouterr().out
+        assert main(["eval", "--out", fresh_out, "--seed", "5", *TINY]) == 0
+        out = capsys.readouterr().out
+        assert "seed = 5" in out and "target_acc=" in out
+
+
+# sha256 of the read verbs' files on two seed-0 runs: the default config and
+# the blobs_wide benchmark shape (16 -> 256 -> 64 -> 5, batch 512). Recorded
+# with the per-ratio sweep loop, before the sweep read the stacked grid
+# forward. The same BLAS caveat as the acceptance goldens applies: OpenBLAS
+# 0.3.31 (Haswell kernels) on x86-64.
+WIDE_SETS = {
+    "dataset": "blobs", "blob_classes": 5, "blob_dim": 16, "n_per_domain": 1024,
+    "hidden": 256, "feat_dim": 64, "batch_size": 512, "warmup_epochs": 20, "covi_epochs": 25,
+}
+GOLDEN_READ_SHA256 = {
+    "default": {
+        "sweep.csv": "03fd1e5339b3ffa3a1d9a8236d2630a51d48bab201e2326ae21373d1db3058df",
+        "sweep_before.csv": "00530f6cbe6e62797ca8c930636d5bb702c1eec62b2bcf0b073c8ba8a8f513fe",
+        "sweep_after.csv": "03fd1e5339b3ffa3a1d9a8236d2630a51d48bab201e2326ae21373d1db3058df",
+        "equilibrium_summary.txt":
+            "dd7063aab1dc5fa38d98b2b231489c9a6bfc7d1a4e3c6bcac8a2f927e51ee9a8",
+    },
+    "wide": {
+        "sweep.csv": "82898d8f00b8d03d74ec663698325e7dcefd70a0568c8f0798da7a4b2e923d28",
+        "sweep_before.csv": "5b9230001f2f0288af2ab8419094e058e428b8e94342abac7ba80b8f16ecbf57",
+        "sweep_after.csv": "82898d8f00b8d03d74ec663698325e7dcefd70a0568c8f0798da7a4b2e923d28",
+        "equilibrium_summary.txt":
+            "627af05d683c1efc53bc466016e63a67231a068ebeeda78d9577d30f04bd239c",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_READ_SHA256))
+def test_read_verb_files_match_golden_digests(shape, tmp_path, capsys):
+    import hashlib
+
+    from vicinalda.cli import main
+    from vicinalda.trainer import TrainConfig, train
+
+    extra = WIDE_SETS if shape == "wide" else {}
+    out = str(tmp_path / shape)
+    train(TrainConfig(seed=0, out_dir=out, **extra))
+    sets = [arg for key, value in extra.items() for arg in ("--set", f"{key}={value}")]
+    for verb in ("sweep", "equilibrium"):
+        assert main([verb, "--out", out, "--seed", "0", *sets]) == 0, capsys.readouterr().err
+    for name, want in GOLDEN_READ_SHA256[shape].items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want, name

@@ -15,17 +15,23 @@ from vicinalda.diagnostics import (
 )
 from vicinalda.diffcore import ContractError, Tensor
 from vicinalda.domains import make_two_moons_pair
-from vicinalda.model import init_model, logits_of
+from vicinalda import diffcore as dc
+from vicinalda.model import RATIO_GRID, forward_np, init_model, logits_of
 from vicinalda.trainer import TrainConfig, derive_seeds, make_dataset, warmup
+from vicinalda.vicinal import mix_np
 
 from test_model import params_checksum
 
 
-def trained_setup(n=300, warmup_epochs=10, seed=0):
-    cfg = TrainConfig(n_per_domain=n, warmup_epochs=warmup_epochs, seed=seed)
+WIDE = dict(dataset="blobs", blob_classes=5, blob_dim=16, hidden=256, feat_dim=64)
+
+
+def trained_setup(n=300, warmup_epochs=10, seed=0, **shape):
+    cfg = TrainConfig(n_per_domain=n, warmup_epochs=warmup_epochs, seed=seed, **shape)
     seeds = derive_seeds(seed)
     ds = make_dataset(cfg, seeds.data)
-    p = init_model(d=2, n_classes=2, seed=seeds.model)
+    p = init_model(d=ds.input_dim, n_classes=ds.n_classes, feat_dim=cfg.feat_dim,
+                   hidden=cfg.hidden, seed=seeds.model)
     warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
     return ds, p
 
@@ -72,6 +78,45 @@ class TestLambdaSweep:
         ds, p = trained_setup(n=100)
         with pytest.raises(ContractError):
             lambda_sweep(p, ds, n_samples=101)
+
+
+def per_ratio_sweep(p, ds, n):
+    """The sweep as one forward per grid ratio, the way it was computed
+    before it read the stacked grid forward: the oracle for its rows."""
+    tgt_idx = (np.arange(n) + 1) % n
+    xs, xt = ds.source_x.data[:n], ds.target_x.data[tgt_idx]
+    src_label = ds.source_y.data[:n].argmax(axis=1)
+    tgt_label = ds.target_y_eval.data[tgt_idx].argmax(axis=1)
+    rows = []
+    for lam_k in RATIO_GRID:
+        logits = forward_np(p, mix_np(xs, xt, lam_k))
+        top1 = logits.argmax(axis=1)
+        rows.append(SweepRow(
+            lam=float(lam_k),
+            mean_entropy=float(dc.entropy_rows_np(logits).mean()),
+            source_dom=float(np.mean(top1 == src_label)),
+            target_dom=float(np.mean(top1 == tgt_label)),
+        ))
+    return rows
+
+
+def row_bits(rows):
+    return np.array([[r.lam, r.mean_entropy, r.source_dom, r.target_dom] for r in rows]).view(
+        np.uint64)
+
+
+class TestSweepAgainstPerRatioOracle:
+    @pytest.fixture(scope="class", params=["default", "wide"])
+    def setup(self, request):
+        if request.param == "wide":
+            return trained_setup(warmup_epochs=3, **WIDE)
+        return trained_setup()
+
+    @pytest.mark.parametrize("n", [32, 63, 64, 100, 128, 255, 256])
+    def test_rows_bit_identical(self, setup, n):
+        ds, p = setup
+        np.testing.assert_array_equal(row_bits(lambda_sweep(p, ds, n_samples=n)),
+                                      row_bits(per_ratio_sweep(p, ds, n)))
 
 
 class TestEmpiricalEmp:

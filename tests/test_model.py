@@ -1,6 +1,8 @@
 """Tests for the model: parameter groups, forwards, checkpointing."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import SGD, ContractError, ShapeError, Tensor, backward
 from vicinalda.model import (
+    CHECKPOINT_MAGIC,
     FORWARD_BLOCK_ROWS,
     RATIO_GRID,
     classify_np,
@@ -508,3 +511,82 @@ class TestCheckpoint:
         q = copy_params(p)
         q.enc_w1.data[0, 0] += 1.0
         assert p.enc_w1.data[0, 0] != q.enc_w1.data[0, 0]
+
+
+CHECKPOINT_SHAPES = {
+    "default": dict(d=2, n_classes=2),
+    "wide": dict(d=16, n_classes=5, feat_dim=64, hidden=256),
+}
+
+
+def filled_model(shape, seed=7):
+    """A model at one of CHECKPOINT_SHAPES with every entry nonzero."""
+    p = init_model(seed=seed, **CHECKPOINT_SHAPES[shape])
+    rng = np.random.default_rng(seed)
+    for _, t in p.named_params():
+        t.data = rng.normal(size=t.data.shape)
+    return p
+
+
+def assert_same_params(p, q):
+    assert (q.dims(), q.seed) == (p.dims(), p.seed)
+    for (na, ta), (nb, tb) in zip(p.named_params(), q.named_params()):
+        assert na == nb
+        assert tb.requires_grad and tb.grad is None
+        assert tb.data.flags.c_contiguous and tb.data.flags.writeable
+        assert not np.shares_memory(ta.data, tb.data)
+        np.testing.assert_array_equal(ta.data.view(np.uint64), tb.data.view(np.uint64))
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of a checkpoint file in place,
+    keeping its array bytes."""
+    raw = open(path, "rb").read()
+    offset = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack_from("<I", raw, offset)
+    header = json.loads(raw[offset + 4 : offset + 4 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        fh.write(raw[offset + 4 + hlen :])
+
+
+class TestCheckpointRead:
+    @pytest.mark.parametrize("shape", sorted(CHECKPOINT_SHAPES))
+    def test_round_trip_bit_exact(self, tmp_path, shape):
+        p = filled_model(shape)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
+        assert_same_params(p, q)
+        again = str(tmp_path / "again.ckpt")
+        save_checkpoint(q, again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    @pytest.mark.parametrize("shape", sorted(CHECKPOINT_SHAPES))
+    def test_copy_params_is_deep_in_every_array(self, shape):
+        p = filled_model(shape)
+        q = copy_params(p)
+        assert_same_params(p, q)
+        for (_, tp), (_, tq) in zip(p.named_params(), q.named_params()):
+            before = tp.data.copy()
+            tq.data += 1.0
+            np.testing.assert_array_equal(tp.data, before)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["dims"].update(hidden=0),
+        lambda h: h["dims"].pop("n_classes"),
+        lambda h: h["dims"].pop("hidden_g"),
+        lambda h: h["dims"].update(depth=2),
+        lambda h: h["dims"].update(d=2.0),
+        lambda h: h.pop("seed"),
+        lambda h: h.update(dims=[2, 2, 32, 64, 64]),
+    ], ids=["hidden-0", "missing-dim", "missing-defaulted-dim", "extra-dim", "float-dim", "no-seed", "dims-not-a-map"])
+    def test_bad_header_dims_refused(self, tmp_path, edit):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(filled_model("default"), path)
+        load_checkpoint(path)  # the unedited file reads
+        rewrite_header(path, edit)
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
