@@ -338,7 +338,7 @@ def load_checkpoint(path: str) -> ModelParams:
             f"{path}: checkpoint holds {len(raw) - offset} array bytes, expected {n_bytes}"
         )
     dims, seed = header.get("dims"), header.get("seed")
-    if not (isinstance(dims, dict) and sorted(dims) == sorted(DIM_NAMES)
+    if not (isinstance(dims, dict) and set(dims) == set(DIM_NAMES)
             and all(type(v) is int for v in dims.values())
             and type(seed) is int and seed >= 0):
         raise ContractError(

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests through a real subprocess."""
+"""End-to-end CLI tests, through a real subprocess, or through `cli.main`
+where a test needs several calls in one process."""
 
 import os
 import subprocess
