@@ -25,9 +25,7 @@ from .diffcore import (
     Tensor,
     backward,
     cross_entropy,
-    entropy,
     matmul,
-    softmax,
 )
 from .domains import (
     DomainBatch,
@@ -58,7 +56,7 @@ from .vicinal import (
 
 __all__ = [
     "SGD", "ContractError", "ShapeError", "Tensor", "backward",
-    "cross_entropy", "entropy", "matmul", "softmax",
+    "cross_entropy", "matmul",
     "DomainBatch", "DomainBatcher", "DomainPairDataset",
     "make_blobs_pair", "make_two_moons_pair",
     "RATIO_GRID", "ModelParams", "emp_forward",

@@ -19,8 +19,14 @@ from . import diffcore as dc
 from .diffcore import SGD, ContractError, Tensor, backward
 from .contrastive import confidence_mask
 from .domains import DomainBatch, DomainBatcher, make_two_moons_pair
-from .diagnostics import empirical_emp, equilibrium_report, lambda_sweep, write_sweep_csv
-from .model import RATIO_GRID, emp_forward, encode_np, init_model, load_checkpoint, logits_of
+from .diagnostics import (
+    DEFAULT_SWEEP_SAMPLES,
+    empirical_emp,
+    equilibrium_report,
+    lambda_sweep,
+    write_sweep_csv,
+)
+from .model import RATIO_GRID, init_model, load_checkpoint, logits_of
 from .trainer import (
     TrainConfig,
     build_config,
@@ -35,6 +41,7 @@ from .vicinal import (
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
+    emp_mixup_loss,
     mix,
     mix_np,
     ratios,
@@ -114,7 +121,7 @@ def _cmd_eval(cfg: TrainConfig) -> int:
 def _cmd_sweep(cfg: TrainConfig) -> int:
     p = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
-    rows = lambda_sweep(p, ds, n_samples=min(256, ds.n_source))
+    rows = lambda_sweep(p, ds, n_samples=min(DEFAULT_SWEEP_SAMPLES, ds.n_source))
     path = os.path.join(cfg.out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
     lam_max, lam_flip = empirical_emp(rows)
@@ -128,7 +135,8 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
     before = load_checkpoint(_checkpoint_path(cfg, "checkpoint_warmup.ckpt"))
     after = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
-    report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=min(256, ds.n_source))
+    n_samples = min(DEFAULT_SWEEP_SAMPLES, ds.n_source)
+    report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=n_samples)
     print(f"report: {report.summary_path}")
     with open(report.summary_path, encoding="utf-8") as fh:
         print(fh.read().rstrip())
@@ -140,25 +148,29 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
 
 
 def _check_gradients(rng) -> bool:
+    """The method's two losses that are smooth in the group they train,
+    each against central differences: the worst-case mixup loss over theta
+    with constant pseudo labels, and the ratio learner's objective over
+    phi. The contrastive and consensus labels are argmaxes of the logits
+    being differentiated, so the test suite checks those losses on trials
+    screened for a safe argmax margin instead."""
+    one_hot = np.eye(3)
     for trial in range(10):
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=trial)
-        x = Tensor(rng.normal(size=(4, 3)))
-        xt = Tensor(rng.normal(size=(4, 3)))
-        t = np.zeros((4, 3))
-        t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
-        x_mix = mix(x, xt, ratios(rng.uniform(0.1, 0.9, 4)))
-        zs_const = Tensor(encode_np(p, x.data))
-        zt_const = Tensor(encode_np(p, xt.data))
-        params = [p.enc_w1, p.enc_b1, p.cls_w, p.emp_w2]
-
-        def fn():
-            z = logits_of(p, x_mix)
-            grid = dc.tmean(dc.softmax(emp_forward(p, zs_const, zt_const)))
-            return dc.cross_entropy(z, t) + 0.5 * dc.entropy(z) + grid
-
-        analytic = dc.backward_grads(fn, params)
-        if dc.grad_mismatches(analytic, dc.finite_difference_grads(fn, params)):
-            return False
+        batch = DomainBatch(
+            xs=Tensor(rng.normal(size=(4, 3))),
+            ys=Tensor(one_hot[rng.integers(0, 3, 4)]),
+            xt=Tensor(rng.normal(size=(4, 3))),
+        )
+        lam = ratios(rng.uniform(0.1, 0.9, 4))
+        yt_hat = Tensor(one_hot[rng.integers(0, 3, 4)])
+        for fn, params in (
+            (lambda: emp_mixup_loss(p, batch, lam, yt_hat), p.theta_params()),
+            (lambda: emp_learner_loss(p, batch), p.phi_params()),
+        ):
+            analytic = dc.backward_grads(fn, params)
+            if dc.grad_mismatches(analytic, dc.finite_difference_grads(fn, params)):
+                return False
     return True
 
 

@@ -33,8 +33,8 @@ def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
     probs = np.asarray(top1_probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ContractError(f"confidence_mask expects a 1-D prob vector, got {probs.shape}")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ContractError("top-1 probabilities must lie in [0, 1]")
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # written so that nan fails it
+        raise ContractError("top-1 probabilities must lie in [0, 1], without nan")
     if probs.size < 2:
         return np.ones(probs.size, dtype=bool)
     threshold = probs.mean() - alpha * probs.std(ddof=1)
@@ -104,10 +104,10 @@ class Top2(NamedTuple):
     k2: np.ndarray
 
 
-def top2_of(logits) -> Top2:
+def top2_of(logits: np.ndarray) -> Top2:
     """Indices of the two largest entries per row; ties take lower indices
     first (stable sort on the negated row)."""
-    z = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+    z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ContractError(f"top2_of expects [m x n] with n >= 2, got {z.shape}")
     order = np.argsort(-z, axis=1, kind="stable")

@@ -2,9 +2,11 @@
 
 A deliberately small tape engine: float64 numpy storage, eager ops that
 record a vector-Jacobian product per node, topological-order backward,
-and SGD with momentum. The ops: add, mul, neg, relu, matmul, row gathering,
-reshape, sums, softmax and the two losses. Each model network is one
-`tape_node` (see `model.logits_of`), held by the tests to the matmul chain.
+and SGD with momentum. The taped ops are the ones the adaptation step
+records: add, mul, neg, row gathering and cross entropy, plus matmul for
+the benchmark tracer. Each model network is one `tape_node` (see
+`model.logits_of`), held by the tests to an unfused matmul chain built on
+`tape_node`. Softmax and entropy run on plain arrays, without a tape.
 
 Tracked tensors are never mutated in place; the only writers of raw
 buffers are the optimizer (parameters, velocities) and backward (the
@@ -94,7 +96,7 @@ class Tensor:
         return matmul(self, other)
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     """Wrap scalars/arrays as constant tensors; pass tensors through."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -129,7 +131,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
 
     def vjp(g):
@@ -139,7 +141,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
 
     def vjp(g):
@@ -152,18 +154,13 @@ def mul(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     return tape_node(-a.data, (a,), lambda g: (-g,))
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0.0
-    return tape_node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
+# kept for bench/tracer.py, which times it by name; no step path calls it
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
@@ -188,12 +185,12 @@ def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def relu_np(a: np.ndarray) -> np.ndarray:
     """ReLU on a plain array, into a fresh array; `a` is left as it is.
 
-    Bit for bit `np.where(a > 0.0, a, 0.0)` (the taped `relu`), without
-    the select, which costs several times more. `np.fmax` returns the
-    non-nan operand, so nan maps to 0.0 as in the select. For -0.0 some
-    of its loops return -0.0, which the in-place `+= 0.0` turns into +0.0
-    (-0.0 + 0.0 is +0.0; every other value is unchanged). `np.maximum`
-    alone would propagate nan and could keep -0.0.
+    Bit for bit `np.where(a > 0.0, a, 0.0)`, without the select, which
+    costs several times more. `np.fmax` returns the non-nan operand, so nan
+    maps to 0.0 as in the select. For -0.0 some of its loops return -0.0,
+    which the in-place `+= 0.0` turns into +0.0 (-0.0 + 0.0 is +0.0; every
+    other value is unchanged). `np.maximum` alone would propagate nan and
+    could keep -0.0.
     """
     out = np.fmax(a, 0.0)
     out += 0.0
@@ -202,7 +199,7 @@ def relu_np(a: np.ndarray) -> np.ndarray:
 
 def take_rows(a, idx) -> Tensor:
     """Gather rows by integer index; backward scatters additively."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
 
@@ -214,39 +211,8 @@ def take_rows(a, idx) -> Tensor:
     return tape_node(out, (a,), vjp)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return tape_node(out, (a,), vjp)
-
-
-def tsum(a) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (np.full_like(a.data, float(g)),)
-
-    return tape_node(np.asarray(a.data.sum()), (a,), vjp)
-
-
-def tmean(a) -> Tensor:
-    """Mean of all entries, as a scalar tensor."""
-    a = as_tensor(a)
-    n = a.data.size
-
-    def vjp(g):
-        return (np.full_like(a.data, float(g) / n),)
-
-    return tape_node(np.asarray(a.data.mean()), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
-# softmax and the two losses
+# softmax, cross entropy and entropy
 
 
 def softmax_np(z: np.ndarray) -> np.ndarray:
@@ -255,20 +221,6 @@ def softmax_np(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax(logits) -> Tensor:
-    """Row-wise softmax, stabilized by max subtraction."""
-    a = as_tensor(logits)
-    if a.data.ndim != 2 or a.data.shape[1] < 1:
-        raise ShapeError(f"softmax expects [m x n] with n >= 1, got {a.shape}")
-    p = softmax_np(a.data)
-
-    def vjp(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return (p * (g - dot),)
-
-    return tape_node(p, (a,), vjp)
 
 
 def _check_label_rows(t: np.ndarray) -> None:
@@ -289,7 +241,7 @@ def cross_entropy(logits, target) -> Tensor:
     p = softmax(logits). The target is treated as a constant: no gradient
     flows into it even if it is a tracked tensor.
     """
-    a = as_tensor(logits)
+    a = _as_tensor(logits)
     t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
     if a.data.shape != t.shape:
         raise ShapeError(f"logits {a.shape} and target {t.shape} shapes disagree")
@@ -305,25 +257,6 @@ def cross_entropy(logits, target) -> Tensor:
         dldp = np.where(p > LOG_EPS, -t / clipped, 0.0) / m
         dot = (dldp * p).sum(axis=1, keepdims=True)
         return (float(g) * p * (dldp - dot),)
-
-    return tape_node(np.asarray(value), (a,), vjp)
-
-
-def entropy(logits) -> Tensor:
-    """Batch-mean Shannon entropy of row-wise softmax predictions."""
-    a = as_tensor(logits)
-    if a.data.ndim != 2 or a.data.shape[1] < 2:
-        raise ShapeError(f"entropy expects [m x n] with n >= 2, got {a.shape}")
-    m = a.data.shape[0]
-    p = softmax_np(a.data)
-    logp = np.log(np.maximum(p, LOG_EPS))
-    value = -(p * logp).sum() / m
-
-    def vjp(g):
-        active = (p > LOG_EPS).astype(np.float64)
-        dhdp = -(logp + active) / m
-        dot = (dhdp * p).sum(axis=1, keepdims=True)
-        return (float(g) * p * (dhdp - dot),)
 
     return tape_node(np.asarray(value), (a,), vjp)
 
@@ -458,7 +391,7 @@ class SGD:
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0):
-        if lr < 0.0:
+        if not lr >= 0.0:  # written so that nan fails it
             raise ContractError(f"learning rate must be >= 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ContractError(f"momentum must be in [0, 1), got {momentum}")

@@ -124,8 +124,9 @@ def emp_argmax(p: ModelParams, batch: DomainBatch) -> RatioVector:
 GRID_TEMPERATURE = 0.3  # sharpening of the per-pair entropy profile target
 
 
-def grid_profile_target(table: np.ndarray, tau: float = GRID_TEMPERATURE) -> np.ndarray:
-    """Row-softmax of the row-standardized entropy table at temperature tau.
+def grid_profile_target(table: np.ndarray) -> np.ndarray:
+    """Row-softmax of the row-standardized entropy table at temperature
+    tau = GRID_TEMPERATURE.
 
     Standardizing each pair's entropy profile equalizes gradient strength
     across pairs; a flat profile (zero deviation) maps to a uniform target,
@@ -134,7 +135,7 @@ def grid_profile_target(table: np.ndarray, tau: float = GRID_TEMPERATURE) -> np.
     mu = table.mean(axis=1, keepdims=True)
     sd = table.std(axis=1, keepdims=True)
     standardized = (table - mu) / np.maximum(sd, 1e-8)
-    return dc.softmax_np(standardized / tau)
+    return dc.softmax_np(standardized / GRID_TEMPERATURE)
 
 
 def emp_learner_loss(p: ModelParams, batch: DomainBatch, *, return_features: bool = False):

@@ -161,6 +161,35 @@ class TestSelftestVerb:
         assert elapsed < 120.0
 
 
+def without_bias_grad(network, bias):
+    """`network` (logits_of or emp_forward) with a wrong VJP: the gradient
+    of the parameter named `bias` comes back as zeros."""
+
+    def wrong(p, *inputs):
+        out = network(p, *inputs)
+        vjp, target = out._vjp, getattr(p, bias)
+        out._vjp = lambda g: tuple(
+            np.zeros_like(pg) if parent is target else pg
+            for parent, pg in zip(out._parents, vjp(g))
+        )
+        return out
+
+    return wrong
+
+
+class TestGradientSelfcheck:
+    # with the real networks the check passes at this rng (the selftest
+    # verb's seed 0). The losses look the networks up in vicinal's
+    # namespace; each case breaks the group one of the two losses trains
+    @pytest.mark.parametrize("network,bias", [("logits_of", "cls_b"), ("emp_forward", "emp_b2")],
+                             ids=["theta", "phi"])
+    def test_fails_on_a_wrong_vjp(self, monkeypatch, network, bias):
+        from vicinalda import cli, vicinal
+
+        monkeypatch.setattr(vicinal, network, without_bias_grad(getattr(vicinal, network), bias))
+        assert not cli._check_gradients(np.random.default_rng(0))
+
+
 class TestParserReuse:
     """`main` parses every call with one parser built once per process; a
     call must not see the flags, errors or help output of the one before."""

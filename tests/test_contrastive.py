@@ -63,6 +63,14 @@ class TestConfidenceMask:
         with pytest.raises(ContractError):
             confidence_mask(np.array([0.5, 1.2]), alpha=1.0)
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.7], [0.5, 0.7, np.nan], [np.nan, np.nan]],
+                             ids=["first", "last", "all"])
+    def test_rejects_nan(self, probs):
+        # every comparison with nan is False, so a range check written as
+        # `p < 0 or p > 1` lets it through and the mask drops every row
+        with pytest.raises(ContractError, match="nan"):
+            confidence_mask(np.array(probs), alpha=2.0)
+
 
 class TestBuildPairs:
     def test_views_at_expected_ratios(self):

@@ -1,6 +1,8 @@
 """Unit and oracle tests for the autodiff core."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from vicinalda.diffcore import (
     Tensor,
     backward,
     cross_entropy,
-    entropy,
     finite_difference_grads,
     matmul,
-    softmax,
 )
 from vicinalda.diffcore import backward_grads as run_backward
+from vicinalda.model import init_model, logits_of
+
+from tape_oracle import relu, select_relu, tmean, tsum
 
 
 def assert_grads_close(analytic, numeric):
@@ -55,13 +58,8 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        fn = lambda: dc.tsum(matmul(a, b))
+        fn = lambda: tsum(matmul(a, b))
         assert_grads_close(run_backward(fn, [a, b]), finite_difference_grads(fn, [a, b]))
-
-
-def select_relu(a):
-    """The select that relu_np must reproduce bit for bit (the taped relu)."""
-    return np.where(a > 0.0, a, 0.0)
 
 
 def assert_same_bits(got, want):
@@ -105,14 +103,15 @@ class TestReluNp:
 
 
 class TestSoftmax:
+    # the plain-array softmax that the losses, the masks and the grid read
     def test_uniform_rows(self):
-        out = softmax(Tensor([[2.0, 2.0, 2.0, 2.0]]))
-        assert np.allclose(out.data, 0.25, atol=1e-15)
+        out = dc.softmax_np(np.array([[2.0, 2.0, 2.0, 2.0]]))
+        assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_large_logits_no_overflow(self):
-        out = softmax(Tensor([[0.0, 1000.0]]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0, 1] > 1.0 - 1e-9
+        out = dc.softmax_np(np.array([[0.0, 1000.0]]))
+        assert np.all(np.isfinite(out))
+        assert out[0, 1] > 1.0 - 1e-9
 
     def test_matches_extended_precision_oracle(self):
         rng = np.random.default_rng(11)
@@ -120,13 +119,13 @@ class TestSoftmax:
         exp = [math.exp(v) for v in row[0]]
         total = math.fsum(exp)
         expected = np.array([[v / total for v in exp]])
-        assert np.max(np.abs(softmax(Tensor(row)).data - expected)) < 1e-12
+        assert np.max(np.abs(dc.softmax_np(row) - expected)) < 1e-12
 
     def test_rows_sum_to_one_large_magnitudes(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             z = rng.uniform(-1e3, 1e3, size=(4, 5))
-            sums = softmax(Tensor(z)).data.sum(axis=1)
+            sums = dc.softmax_np(z).sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
@@ -174,14 +173,18 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros(t.shape)), t)
 
 
+def mean_entropy(z):
+    """Batch-mean prediction entropy, from the per-row entropies that the
+    grid table and the sweep read."""
+    return dc.entropy_rows_np(z).mean()
+
+
 class TestEntropy:
     def test_uniform_is_log_n(self):
-        out = entropy(Tensor(np.zeros((2, 11))))
-        assert abs(out.item() - math.log(11)) < 1e-12
+        assert abs(mean_entropy(np.zeros((2, 11))) - math.log(11)) < 1e-12
 
     def test_near_one_hot_is_near_zero(self):
-        out = entropy(Tensor([[40.0, 0.0, 0.0]]))
-        assert out.item() < 1e-9
+        assert mean_entropy(np.array([[40.0, 0.0, 0.0]])) < 1e-9
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
@@ -189,26 +192,26 @@ class TestEntropy:
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         expected = float(np.mean(-(p * np.log(p)).sum(axis=1)))
-        assert abs(entropy(Tensor(z)).item() - expected) < 1e-12
+        assert abs(mean_entropy(z) - expected) < 1e-12
 
     def test_bounds_hold_on_random_logits(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             n = int(rng.integers(2, 8))
             z = rng.normal(scale=rng.uniform(0.1, 20.0), size=(3, n))
-            h = entropy(Tensor(z)).item()
+            h = mean_entropy(z)
             assert -1e-12 <= h <= math.log(n) + 1e-12
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        backward(dc.tsum(x))
+        backward(tsum(x))
         assert np.array_equal(x.grad, np.ones(3))
 
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(dc.tsum(x * x))
+        backward(tsum(x * x))
         assert np.allclose(x.grad, [6.0], atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -218,7 +221,7 @@ class TestBackward:
 
     def test_accumulation_is_additive(self):
         x = Tensor([1.5, -0.5], requires_grad=True)
-        fn = lambda: dc.tsum(x * x)
+        fn = lambda: tsum(x * x)
         once = run_backward(fn, [x])[0]
         x.zero_grad()
         backward(fn())
@@ -228,7 +231,7 @@ class TestBackward:
     def test_reused_node_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
         y = x * x
-        backward(dc.tsum(y + y))
+        backward(tsum(y + y))
         assert np.allclose(x.grad, [8.0], atol=1e-12)
 
     def test_only_leaves_receive_grad(self):
@@ -236,9 +239,9 @@ class TestBackward:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(np.zeros(4), requires_grad=True)
         x = Tensor(rng.normal(size=(5, 3)))  # a constant input
-        h = dc.relu(matmul(x, w) + b)
+        h = relu(matmul(x, w) + b)
         z = matmul(x, w) + b
-        loss = dc.tmean(h * z)
+        loss = tmean(h * z)
         backward(loss)
         assert w.grad is not None and b.grad is not None
         assert x.grad is None
@@ -249,7 +252,7 @@ class TestBackward:
         rng = np.random.default_rng(23)
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         x = Tensor(rng.normal(size=(4, 3)))
-        fn = lambda: dc.tsum(matmul(x, w) * matmul(x, w))
+        fn = lambda: tsum(matmul(x, w) * matmul(x, w))
         stale = fn()
         backward(fn())
         SGD([w], lr=0.1).step()
@@ -266,18 +269,21 @@ class TestBackward:
         x = Tensor(rng.normal(size=(5, 3)))
         t = np.zeros((5, 4))
         t[np.arange(5), rng.integers(0, 4, 5)] = 1.0
-        backward(cross_entropy(dc.relu(matmul(x, w)) + b, t))
+        backward(cross_entropy(relu(matmul(x, w)) + b, t))
         assert np.all(np.isfinite(w.grad))
         assert np.all(np.isfinite(b.grad))
 
 
 def random_small_graph(rng):
-    """A composite graph touching every differentiable op, with params."""
+    """A composite graph over every op diffcore tapes (add, mul, neg,
+    matmul, take_rows, cross_entropy) and the fused `logits_of` node, with
+    the test-side relu and reductions; returns (fn, params)."""
     m, d, hdim, n = 3, 4, 5, 3
     w1 = Tensor(rng.normal(scale=0.7, size=(d, hdim)), requires_grad=True)
     b1 = Tensor(rng.normal(scale=0.1, size=hdim), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(hdim, n)), requires_grad=True)
     b2 = Tensor(rng.normal(scale=0.1, size=n), requires_grad=True)
+    net = init_model(d=d, n_classes=n, feat_dim=4, hidden=5, seed=int(rng.integers(2**32)))
     mix_w = Tensor(rng.normal(scale=0.5, size=(n, n)))
     x = Tensor(rng.normal(size=(m, d)))
     extra = Tensor(rng.normal(size=(m, n)))
@@ -285,16 +291,16 @@ def random_small_graph(rng):
     idx = rng.integers(0, m, size=m)
 
     def fn():
-        h = dc.relu(matmul(x, w1) + b1)
+        h = relu(matmul(x, w1) + b1)
         # every parameter reached along two paths, so its gradients add up
-        z = matmul(h, w2) + (matmul(dc.relu(matmul(x, w1) + b1) + h, w2) + b2)
-        gathered = dc.take_rows(z, idx)
-        logits = matmul(dc.reshape(gathered + extra * 0.5, (m, n)), mix_w)
-        ce = cross_entropy(logits, t)
-        ent = entropy(dc.softmax(logits) * 3.0 + 0.1)
-        return ce + 0.5 * ent + 0.01 * dc.tmean(w2 * w2) - 0.02 * dc.tsum(dc.neg(b1))
+        z = matmul(h, w2) + (matmul(relu(matmul(x, w1) + b1) + h, w2) + b2)
+        net_z = logits_of(net, x)
+        gathered = dc.take_rows(z + net_z, idx)
+        logits = matmul(gathered + extra * 0.5, mix_w)
+        ce = cross_entropy(logits, t) + 0.5 * cross_entropy(net_z, t)
+        return ce + 0.01 * tmean(w2 * w2) - 0.02 * tsum(dc.neg(b1))
 
-    return fn, [w1, b1, w2, b2]
+    return fn, [w1, b1, w2, b2, *net.theta_params()]
 
 
 class TestFiniteDifferenceProperty:
@@ -372,3 +378,66 @@ class TestSGD:
             SGD([p], lr=-0.1)
         with pytest.raises(ContractError):
             SGD([p], lr=0.1, momentum=1.0)
+
+    def test_nan_lr_rejected(self):
+        # `lr < 0` is False for nan; the first step would write nan everywhere
+        p = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ContractError, match="learning rate"):
+            SGD([p], lr=math.nan)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src", "vicinalda")
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def diffcore_names_used_by(tree):
+    """Names a module takes from diffcore: `from .diffcore import name`
+    and `dc.name` where `from . import diffcore as dc`."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "diffcore":
+                names.update(a.name for a in node.names)
+            elif node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "diffcore")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def tracer_diffcore_targets():
+    tree = parse(os.path.join(REPO, "bench", "tracer.py"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            # (module, attribute, kind, span name) tuples; the span names
+            # are not all literals, the first two fields are
+            pairs = [ast.literal_eval(ast.Tuple(t.elts[:2], ast.Load())) for t in node.value.elts]
+            return {attr for module, attr in pairs if module == "vicinalda.diffcore"}
+    raise AssertionError("bench/tracer.py defines no TARGETS list")
+
+
+class TestPublicSurface:
+    def test_every_public_function_has_a_caller_outside_the_tests(self):
+        # a public diffcore function is referenced from another package
+        # module, called by a Tensor operator method, or timed by the tracer
+        tree = parse(os.path.join(SRC, "diffcore.py"))
+        public = {n.name for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+        tensor = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor")
+        used = {call.func.id
+                for method in tensor.body
+                if isinstance(method, ast.FunctionDef) and method.name.startswith("__")
+                for call in ast.walk(method)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+        for name in sorted(os.listdir(SRC)):
+            if name.endswith(".py") and name != "diffcore.py":
+                used |= diffcore_names_used_by(parse(os.path.join(SRC, name)))
+        used |= tracer_diffcore_targets()
+        assert sorted(public - used) == []

@@ -29,6 +29,7 @@ from vicinalda.model import (
     save_checkpoint,
 )
 
+from tape_oracle import tmean, unfused_emp_forward, unfused_features, unfused_logits_of
 from test_diffcore import (
     assert_grads_close,
     assert_same_bits,
@@ -91,7 +92,7 @@ class TestParameterGroups:
         opt_phi = SGD(p.phi_params(), lr=0.1, momentum=0.9)
         zs = Tensor(rng.normal(size=(8, 5)))
         zt = Tensor(rng.normal(size=(8, 5)))
-        backward(dc.tmean(emp_forward(p, zs, zt)))
+        backward(tmean(emp_forward(p, zs, zt)))
         opt_phi.step()
         assert params_checksum(p.theta_params()) == theta_before
 
@@ -101,7 +102,7 @@ class TestParameterGroups:
         phi_before = params_checksum(p.phi_params())
         opt_theta = SGD(p.theta_params(), lr=0.1, momentum=0.9)
         x = Tensor(rng.normal(size=(8, 3)))
-        backward(dc.tmean(logits_of(p, x)))
+        backward(tmean(logits_of(p, x)))
         for t in p.phi_params():
             t.zero_grad()
         opt_theta.step()
@@ -129,7 +130,7 @@ class TestForwards:
         x = Tensor(rng.normal(size=(4, 3)))
         const = rng.normal(size=(4, 4))
         params = p.theta_params()[:4]
-        fn = lambda: dc.tmean(logits_of(p, x) * Tensor(const))
+        fn = lambda: tmean(logits_of(p, x) * Tensor(const))
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
 
     def test_classify_gradient_check(self):
@@ -138,7 +139,7 @@ class TestForwards:
         x = Tensor(rng.normal(size=(4, 3)))
         const = rng.normal(size=(4, 4))
         params = [p.cls_w, p.cls_b]
-        fn = lambda: dc.tmean(logits_of(p, x) * Tensor(const))
+        fn = lambda: tmean(logits_of(p, x) * Tensor(const))
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
 
     def test_logits_of_shape_error(self):
@@ -184,7 +185,7 @@ class TestForwards:
         zt = Tensor(rng.normal(size=(3, 5)))
         const = rng.normal(size=(3, 11))
         params = p.phi_params()
-        fn = lambda: dc.tmean(emp_forward(p, zs, zt) * Tensor(const))
+        fn = lambda: tmean(emp_forward(p, zs, zt) * Tensor(const))
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
 
 
@@ -270,7 +271,7 @@ class TestTapeFreeForward:
         assert np.array_equal(emp_forward_np(p, zs, zt), expected)
 
     def test_nan_and_negative_zero_rows_match_taped(self):
-        # the taped relu maps nan to 0 and keeps -0.0 out; np.maximum would not
+        # the unfused chain's relu maps nan to 0 and keeps -0.0 out; np.maximum would not
         p = perturbed_model(2, 2, 32, 64)
         p.enc_b1.data[:] = 0.0
         x = np.array([[np.nan, 1.0], [-0.0, -0.0], [0.0, 0.0], [1.0, -1.0]])
@@ -284,22 +285,6 @@ class TestTapeFreeForward:
             encode_np(p, np.zeros(3))
         with pytest.raises(ShapeError):
             classify_np(p, np.zeros((4, p.feat_dim + 1)))
-
-
-def unfused_features(p, x):
-    """The encoder as the matmul -> add -> relu chain of separate nodes."""
-    h = dc.relu(dc.matmul(x, p.enc_w1) + p.enc_b1)
-    return dc.matmul(h, p.enc_w2) + p.enc_b2
-
-
-def unfused_logits_of(p, x):
-    return dc.matmul(unfused_features(p, x), p.cls_w) + p.cls_b
-
-
-def unfused_emp_forward(p, zs, zt):
-    pair = Tensor(np.concatenate([zs.data, zt.data], axis=1))
-    h = dc.relu(dc.matmul(pair, p.emp_w1) + p.emp_b1)
-    return dc.matmul(h, p.emp_w2) + p.emp_b2
 
 
 def one_hot_rows(rng, m, n):
@@ -381,7 +366,7 @@ class TestFusedTape:
         logits, grid = logits_of(p, x), emp_forward(p, zs, zt)
         assert logits._parents == tuple(p.theta_params())
         assert grid._parents == tuple(p.phi_params())
-        backward(dc.tmean(logits) + dc.tmean(grid))
+        backward(tmean(logits) + tmean(grid))
         assert logits.grad is None and grid.grad is None
         assert x.grad is None and zs.grad is None and zt.grad is None
         assert all(t.grad is not None for _, t in p.named_params())
