@@ -42,8 +42,12 @@ def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def top1_probs(logits: np.ndarray) -> np.ndarray:
-    """Top-1 softmax probability of each row of logits."""
-    return dc.softmax_np(logits).max(axis=1)
+    """Top-1 softmax probability of each row of logits. Non-finite logits,
+    which a model that overflowed gives, raise FloatingPointError."""
+    probs = dc.softmax_np(logits).max(axis=1)
+    if not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite top-1 probabilities: the model's logits overflowed")
+    return probs
 
 
 def target_top1_probs(p: ModelParams, xt: Tensor) -> np.ndarray:

@@ -13,6 +13,12 @@ buffers are the optimizer (parameters, velocities) and backward (the
 grad of leaf tensors). The optimizer bumps a parameter's version on every
 write, and backward refuses a graph built before such a write: its VJPs
 would mix the old activations with the new weights.
+
+Graphs are single-use: backward consumes every node whose VJP it runs,
+because the network nodes' VJPs hand their activations back to the
+model's scratch free list, where the next forward overwrites them. A loss
+that reaches a consumed node raises ContractError before any gradient is
+written; a fresh graph accumulates into .grad as before.
 """
 
 from __future__ import annotations
@@ -173,17 +179,21 @@ def matmul(a, b) -> Tensor:
     return tape_node(out, (a, b), vjp)
 
 
-def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b on plain arrays, the bias added in place. Every affine
-    layer, taped or not, computes this, so both forwards agree bit for bit
-    (an in-place add rounds exactly like a fresh one)."""
-    a = x @ w
+def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """x @ w + b on plain arrays, the bias added in place, written into
+    `out` when given (a C-contiguous [m x n] array the caller owns) and into
+    a fresh array otherwise. Every affine layer, taped or not, computes
+    this, so both forwards agree bit for bit: an in-place add rounds
+    exactly like a fresh one, and BLAS runs the same product whether numpy
+    or the caller allocated its output."""
+    a = np.matmul(x, w, out=out)
     a += b
     return a
 
 
 def relu_np(a: np.ndarray) -> np.ndarray:
-    """ReLU on a plain array, into a fresh array; `a` is left as it is.
+    """ReLU in place on a plain array the caller owns; returns `a`.
 
     Bit for bit `np.where(a > 0.0, a, 0.0)`, without the select, which
     costs several times more. `np.fmax` returns the non-nan operand, so nan
@@ -192,9 +202,9 @@ def relu_np(a: np.ndarray) -> np.ndarray:
     other value is unchanged). `np.maximum` alone would propagate nan and
     could keep -0.0.
     """
-    out = np.fmax(a, 0.0)
-    out += 0.0
-    return out
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    return a
 
 
 def take_rows(a, idx) -> Tensor:
@@ -217,10 +227,12 @@ def take_rows(a, idx) -> Tensor:
 
 def softmax_np(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a float64 array, stabilized by max subtraction;
-    no tape."""
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    no tape. `z` is left as it is: the exp and the divide run in place on
+    the fresh `z - max`, with the bits of fresh ones."""
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _check_label_rows(t: np.ndarray) -> None:
@@ -264,24 +276,39 @@ def cross_entropy(logits, target) -> Tensor:
 def entropy_rows_np(logits: np.ndarray) -> np.ndarray:
     """Per-row prediction entropy, no tape. Shares the loss stabilization."""
     p = softmax_np(np.asarray(logits, dtype=np.float64))
-    return -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=1)
+    # log(max(p, eps)) * p in place has the bits of p * log(...): a product
+    # of two doubles rounds the same in either order
+    plogp = np.maximum(p, LOG_EPS)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return -plogp.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
+def _consumed(g):
+    """The VJP of a node that backward has run; backward refuses a graph
+    that reaches one before calling it."""
+    raise ContractError("backward through a consumed graph")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad for every tracked leaf.
 
     Only leaves (tensors without a VJP, i.e. parameters and tracked
-    inputs) receive .grad; op outputs keep grad None. Repeated calls
-    without zeroing accumulate additively. Propagation uses a per-call
-    table so earlier accumulated grads never feed back into the current
-    pass; a node's incoming gradient leaves the table once its VJP has
-    run, and a None parent gradient (one its VJP did not compute) is
+    inputs) receive .grad; op outputs keep grad None. Calls on fresh
+    graphs without zeroing accumulate additively. Propagation uses a
+    per-call table so earlier accumulated grads never feed back into the
+    current pass; a node's incoming gradient leaves the table once its VJP
+    has run, and a None parent gradient (one its VJP did not compute) is
     skipped. A graph whose parameters an optimizer step has written since
     it was built raises ContractError before any gradient is written.
+
+    Each node whose VJP runs is consumed (see the module docstring), so a
+    graph is backpropagated once: a loss that reaches a consumed node
+    raises ContractError, again before any gradient is written.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -289,6 +316,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not connected to any tracked tensor")
 
     order: list[Tensor] = []
+    consumed = False
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
@@ -299,6 +327,7 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        consumed = consumed or node._vjp is _consumed
         stack.append((node, True))
         for parent, version in zip(node._parents, node._parent_versions):
             if parent._version != version:
@@ -308,6 +337,13 @@ def backward(loss: Tensor) -> None:
                 )
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
+    # after the walk, so that a graph both stale and consumed reports the
+    # optimizer step that made it stale
+    if consumed:
+        raise ContractError(
+            "backward through a consumed graph: an earlier backward already ran "
+            "its VJPs; build the loss again"
+        )
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
@@ -320,7 +356,9 @@ def backward(loss: Tensor) -> None:
             else:
                 node.grad = node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        parent_grads = node._vjp(g)
+        node._vjp = _consumed
+        for parent, pg in zip(node._parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

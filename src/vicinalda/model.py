@@ -11,6 +11,7 @@ import json
 import math
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -115,6 +116,54 @@ def init_model(
     return _params_from(dims, seed, arrays)
 
 
+# Arrays under glibc's default mmap threshold (128 KiB) come from the heap
+# without page faults, so below it the forwards let numpy allocate: the free
+# list's bookkeeping would cost more than it saves at the 64-row shapes.
+SCRATCH_MIN_BYTES = 128 * 1024
+
+
+class _FreeLists(threading.local):
+    """Per thread: (dtype, width) -> arrays a forward may write into."""
+
+    def __init__(self):
+        self.free: dict[tuple[type, int], list[np.ndarray]] = {}
+
+
+_scratch = _FreeLists()
+_ITEMSIZE = {np.float64: 8, np.bool_: 1}
+
+
+def take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
+    """The `out=` argument for a numpy call that makes a temporary of
+    `shape`: None under SCRATCH_MIN_BYTES, so numpy allocates a fresh array,
+    and otherwise an uninitialized C-contiguous array from this thread's
+    free list, which keeps arrays by dtype and last dimension and lends the
+    leading rows of one with room. A popped array that is too small is
+    dropped, so each list holds no more arrays than were ever taken at
+    once. Only the model's forwards and their VJPs take scratch; nothing
+    they hand to a caller is one."""
+    width, rows = shape[-1], math.prod(shape[:-1])
+    if rows * width * _ITEMSIZE[dtype] < SCRATCH_MIN_BYTES:
+        return None
+    free = _scratch.free.get((dtype, width))
+    if free:
+        a = free.pop()
+        if a.shape[0] >= rows:
+            return a[:rows].reshape(shape)
+    return np.empty((rows, width), dtype).reshape(shape)
+
+
+def give_scratch(*arrays: np.ndarray) -> None:
+    """Hand arrays made with take_scratch's `out=` back to this thread's
+    free list; the fresh ones numpy made under the size gate are let go.
+    The caller must not touch them afterwards; each may be given once."""
+    free = _scratch.free
+    for a in arrays:
+        owner = a if a.base is None else a.base
+        if owner.nbytes >= SCRATCH_MIN_BYTES:
+            free.setdefault((owner.dtype.type, owner.shape[1]), []).append(owner)
+
+
 def _constant(x: Tensor) -> np.ndarray:
     # the network nodes compute no input gradient; a tracked input would lose its own
     if x.requires_grad:
@@ -122,53 +171,76 @@ def _constant(x: Tensor) -> np.ndarray:
     return x.data
 
 
+def _scratch_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b into a scratch array."""
+    return affine_np(x, w, b, take_scratch((x.shape[0], w.shape[1])))
+
+
+def _hidden_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU(x @ w + b) and its `pre-activation > 0` mask, both scratch; the
+    mask is taken before the ReLU runs in place."""
+    h = _scratch_affine(x, w, b)
+    mask = np.greater(h, 0.0, out=take_scratch(h.shape, np.bool_))
+    return relu_np(h), mask
+
+
+def _hidden_vjp(g: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(g @ w.T) * mask into a scratch array: the multiply runs in place."""
+    gh = np.matmul(g, w.T, out=take_scratch((g.shape[0], w.shape[0])))
+    gh *= mask
+    return gh
+
+
 def logits_of(p: ModelParams, x: Tensor) -> Tensor:
     """Class logits of constant inputs, as one tape node whose parents are
     the theta parameters. The forward runs the steps of `forward_np`; the
-    VJP runs the three layer VJPs from last to first."""
+    VJP runs the three layer VJPs from last to first. The activations are
+    scratch arrays that the VJP hands back once it has run, which is why a
+    graph can be backpropagated only once (see `diffcore.backward`)."""
     x = _constant(x)
     _check_inputs(p, x)
     w1, b1, w2, b2, wc, bc = (t.data for t in p.theta_params())
-    pre = affine_np(x, w1, b1)
-    mask = pre > 0.0
-    h = relu_np(pre)
-    z = affine_np(h, w2, b2)
+    h, mask = _hidden_layer(x, w1, b1)
+    z = affine_np(h, w2, b2, take_scratch((x.shape[0], p.feat_dim)))
 
     def vjp(g):
-        gz = g @ wc.T
-        gh = (gz @ w2.T) * mask
-        return x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
+        gz = np.matmul(g, wc.T, out=take_scratch((g.shape[0], p.feat_dim)))
+        gh = _hidden_vjp(gz, w2, mask)
+        grads = x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
+        give_scratch(h, mask, z, gz, gh)
+        return grads
 
     return tape_node(affine_np(z, wc, bc), tuple(p.theta_params()), vjp)
 
 
-def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
-    """Grid logits for each pair of constant source/target features, one
-    row per pair, as one tape node whose parents are the phi parameters."""
+def _pair_scratch(zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """[zs | zt] into a scratch array."""
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    pair = np.concatenate([_constant(zs), _constant(zt)], axis=1)
+    return np.concatenate([zs, zt], axis=1, out=take_scratch((zs.shape[0], 2 * zs.shape[1])))
+
+
+def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
+    """Grid logits for each pair of constant source/target features, one
+    row per pair, as one tape node whose parents are the phi parameters.
+    Its scratch arrays go back when the VJP has run, as in `logits_of`."""
+    pair = _pair_scratch(_constant(zs), _constant(zt))
     w1, b1, w2, b2 = (t.data for t in p.phi_params())
-    pre = affine_np(pair, w1, b1)
-    mask = pre > 0.0
-    h = relu_np(pre)
+    h, mask = _hidden_layer(pair, w1, b1)
 
     def vjp(g):
-        gh = (g @ w2.T) * mask
-        return pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+        gh = _hidden_vjp(g, w2, mask)
+        grads = pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+        give_scratch(pair, h, mask, gh)
+        return grads
 
     return tape_node(affine_np(h, w2, b2), tuple(p.phi_params()), vjp)
 
 
-# Rows per block of the tape-free forward. A fresh float64 temporary over
-# glibc's 128 KiB mmap threshold is mapped and unmapped on every call, and
-# its page faults cost more than the matmul itself: alone, a 1000-row
-# forward at the default widths took 810-1050 us unblocked and 290-400 us
-# in 256-row blocks (hidden 64, so one block's hidden layer is 128 KiB).
-# Measured per adaptation step of a default train (2-core x86-64, OpenBLAS):
-# p50 5.6 / 5.2 / 5.1 / 5.9 / 6.3 ms at 64 / 128 / 256 / 512 rows / unblocked,
-# with 512 also hitting a 24 ms p90; at hidden 256 every size from 128 up
-# was within noise of unblocked.
+# Rows per block of the tape-free forward. Blocks keep each BLAS call at the
+# shape it has always had, so the bits stay put (see `forward_np`), and keep
+# a block's temporaries cache-sized: at hidden 64 one block's hidden layer
+# is 128 KiB. The temporaries are scratch arrays, reused across calls.
 FORWARD_BLOCK_ROWS = 256
 
 
@@ -187,29 +259,36 @@ def _row_blocks(m: int):
 
 
 def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
-    """fn applied to row blocks of x, stacked into [m x width]."""
+    """fn(block, out) over row blocks of x, each writing its rows of a
+    fresh [m x width] output; one block gets out=None, so fn allocates."""
     m = x.shape[0]
     if m <= FORWARD_BLOCK_ROWS + 1:
-        return fn(x)
+        return fn(x, None)
     out = np.empty((m, width))
     for rows in _row_blocks(m):
-        out[rows] = fn(x[rows])
+        fn(x[rows], out[rows])
     return out
 
 
 # The plain-array layers run the steps of the taped nodes (diffcore.affine_np,
-# diffcore.relu_np), so both forwards agree bit for bit.
-def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    h = relu_np(affine_np(x, p.enc_w1.data, p.enc_b1.data))
-    return affine_np(h, p.enc_w2.data, p.enc_b2.data)
+# diffcore.relu_np), so both forwards agree bit for bit. Each writes its
+# result into `out` (None: a fresh array) and gives its scratch back.
+def _encode_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    h = relu_np(_scratch_affine(x, p.enc_w1.data, p.enc_b1.data))
+    z = affine_np(h, p.enc_w2.data, p.enc_b2.data, out)
+    give_scratch(h)
+    return z
 
 
-def _classify_rows(p: ModelParams, z: np.ndarray) -> np.ndarray:
-    return affine_np(z, p.cls_w.data, p.cls_b.data)
+def _classify_rows(p: ModelParams, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    return affine_np(z, p.cls_w.data, p.cls_b.data, out)
 
 
-def _logits_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _classify_rows(p, _encode_rows(p, x))
+def _logits_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    z = _encode_rows(p, x, take_scratch((x.shape[0], p.feat_dim)))
+    logits = _classify_rows(p, z, out)
+    give_scratch(z)
+    return logits
 
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
@@ -221,7 +300,7 @@ def encode_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Tape-free encoder features: the hidden and feature layers of
     `forward_np`, without the classifier."""
     _check_inputs(p, x)
-    return _by_row_blocks(lambda xb: _encode_rows(p, xb), p.feat_dim, x)
+    return _by_row_blocks(lambda xb, out: _encode_rows(p, xb, out), p.feat_dim, x)
 
 
 def classify_np(p: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -230,7 +309,7 @@ def classify_np(p: ModelParams, z: np.ndarray) -> np.ndarray:
     `classify_np(p, encode_np(p, x))` has the bits of `forward_np(p, x)`."""
     if z.ndim != 2 or z.shape[1] != p.feat_dim:
         raise ShapeError(f"features must be [m x {p.feat_dim}], got {z.shape}")
-    return _by_row_blocks(lambda zb: _classify_rows(p, zb), p.n_classes, z)
+    return _by_row_blocks(lambda zb, out: _classify_rows(p, zb, out), p.n_classes, z)
 
 
 def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -242,7 +321,7 @@ def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     default and the wide (16 -> 256 -> 64 -> 5) shapes up to 2000 rows.
     """
     _check_inputs(p, x)
-    return _by_row_blocks(lambda xb: _logits_rows(p, xb), p.n_classes, x)
+    return _by_row_blocks(lambda xb, out: _logits_rows(p, xb, out), p.n_classes, x)
 
 
 def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -252,10 +331,11 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     64 -> 11 output layer is where OpenBLAS switches kernels with the row
     count (past about 1500 rows a block and the whole matrix round apart).
     """
-    if zs.shape != zt.shape:
-        raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    h = relu_np(affine_np(np.concatenate([zs, zt], axis=1), p.emp_w1.data, p.emp_b1.data))
-    return affine_np(h, p.emp_w2.data, p.emp_b2.data)
+    pair = _pair_scratch(zs, zt)
+    h = relu_np(_scratch_affine(pair, p.emp_w1.data, p.emp_b1.data))
+    logits = affine_np(h, p.emp_w2.data, p.emp_b2.data)
+    give_scratch(pair, h)
+    return logits
 
 
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:

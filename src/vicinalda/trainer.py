@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +321,18 @@ def _check_params_finite(step: int, cfg: TrainConfig, p: ModelParams, after: str
             _abort_diverged(f"non-finite values in parameter {name}{where}", step, cfg, p)
 
 
+@contextmanager
+def _overflow_diverges(phase: str, step: int, cfg: TrainConfig, p: ModelParams):
+    # the grid entropy table and the top-1 probabilities behind the masks
+    # are where the step first reads the model's outputs; each raises
+    # FloatingPointError on a non-finite value, that is, on a model whose
+    # finite but huge parameters overflowed
+    try:
+        yield
+    except FloatingPointError as exc:
+        _abort_diverged(f"{exc} in phase {phase!r}", step, cfg, p)
+
+
 def covi_step(
     p: ModelParams,
     batch: DomainBatch,
@@ -346,7 +359,8 @@ def covi_step(
     _check_params_finite(step, cfg, p)
 
     # phase 1: ratio-learner ascent, theta frozen
-    loss_phi, zs, zt = emp_learner_loss(p, batch, return_features=True)
+    with _overflow_diverges("ratio-learner ascent", step, cfg, p):
+        loss_phi, zs, zt = emp_learner_loss(p, batch, return_features=True)
     _check_finite(loss_phi.item(), "ratio-learner ascent", step, cfg, p)
     backward(dc.neg(loss_phi))
     opt_phi.step()
@@ -392,7 +406,8 @@ def covi_step(
     if cfg.w_ct > 0:
         # one target forward at this theta feeds the mask and the pseudo labels
         zt = forward_np(p, batch.xt.data)
-        mask = confidence_mask(top1_probs(zt), cfg.alpha)
+        with _overflow_diverges("contrastive", step, cfg, p):
+            mask = confidence_mask(top1_probs(zt), cfg.alpha)
         pairs = build_contrastive_pairs(
             batch, lam_star, cfg.omega, mask, cfg.space_sd, cfg.space_td
         )
@@ -408,7 +423,8 @@ def covi_step(
         if cfg.lam_p_adaptive:
             lam_p = adaptive_lam_p(lam_p, mean_lambda, cfg.omega)
         views = make_views(batch, lam_p, views_rng)
-        keep = consensus_keep_mask(p, views, cfg.beta)
+        with _overflow_diverges("consensus", step, cfg, p):
+            keep = consensus_keep_mask(p, views, cfg.beta)
         cs_keep = float(keep.mean())
         r_cs = theta_update(consensus_loss(p, views, cfg.beta, keep), cfg.w_cs, "consensus")
 

@@ -18,13 +18,16 @@ from .diffcore import ContractError, Tensor
 from .domains import DomainBatch
 from .model import (
     RATIO_GRID,
+    RATIO_GRID_SIZE,
     ModelParams,
     emp_forward,
     emp_forward_np,
     encode_np,
     forward_np,
+    give_scratch,
     logits_of,
     pseudo_labels,
+    take_scratch,
 )
 
 
@@ -86,8 +89,15 @@ def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
     x86-64) at the default shape for every m that is a multiple of 4, as the
     default batch of 64 is, and at the wide shape for every m tried.
     """
-    mixes = mix_np(xs, xt, RATIO_GRID[:, None, None])
-    return forward_np(p, mixes.reshape(-1, mixes.shape[2]))
+    shape = (RATIO_GRID_SIZE, *xs.shape)
+    grid = RATIO_GRID[:, None, None]
+    # mix_np's two products and their sum, into scratch arrays
+    mixes = np.multiply(1.0 - grid, xs, out=take_scratch(shape))
+    part = np.multiply(grid, xt, out=take_scratch(shape))
+    mixes += part
+    logits = forward_np(p, mixes.reshape(-1, xs.shape[1]))
+    give_scratch(mixes, part)
+    return logits
 
 
 def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:
@@ -95,9 +105,13 @@ def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:
 
     Plain-array computation, no tape; this is the exhaustive view of the
     entropy landscape the ratio learner is trained to summarize, read from
-    the stacked `grid_logits`.
+    the stacked `grid_logits`. Logits that overflowed give non-finite
+    entropies, which raise FloatingPointError: the table is where the
+    adaptation step first reads the model's outputs.
     """
     entropies = dc.entropy_rows_np(grid_logits(p, batch.xs.data, batch.xt.data))
+    if not np.isfinite(entropies).all():
+        raise FloatingPointError("non-finite grid entropy table: the model's logits overflowed")
     # C order: numpy sums the rows of a transposed view in another order,
     # which would move the bits of the row statistics taken from the table
     return np.ascontiguousarray(entropies.reshape(-1, batch.m).T)

@@ -1,15 +1,20 @@
-"""Taped ops that only the tests need, built on `diffcore.tape_node`.
+"""Taped ops that only the tests need, built on `diffcore.tape_node`, and
+plain-array reference forwards.
 
 The package tapes each network as one fused node (`model.logits_of`,
 `model.emp_forward`). The tests hold those nodes to the unfused chain
 below, matmul -> add -> relu as separate nodes, and reduce graphs to a
-scalar with `tsum`/`tmean` for the finite-difference oracle.
+scalar with `tsum`/`tmean` for the finite-difference oracle. The `plain_*`
+forwards allocate every temporary fresh; the model's forwards, which write
+into reused scratch arrays, are held to their bits.
 """
 
 import numpy as np
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import Tensor
+from vicinalda.model import FORWARD_BLOCK_ROWS, RATIO_GRID
+from vicinalda.vicinal import mix_np
 
 
 def select_relu(a):
@@ -52,3 +57,64 @@ def unfused_emp_forward(p, zs, zt):
     pair = Tensor(np.concatenate([zs.data, zt.data], axis=1))
     h = relu(dc.matmul(pair, p.emp_w1) + p.emp_b1)
     return dc.matmul(h, p.emp_w2) + p.emp_b2
+
+
+# Plain-array forwards with every temporary fresh and nothing written in
+# place but the bias add. The model's forwards, which write into scratch
+# arrays and rectify in place, must give these bits.
+
+
+def plain_affine(x, w, b):
+    a = x @ w
+    a += b
+    return a
+
+
+def plain_row_blocks(m):
+    """forward_np's row blocks: FORWARD_BLOCK_ROWS rows each, a would-be
+    one-row tail joined to the block before it."""
+    start = 0
+    while start < m:
+        stop = start + FORWARD_BLOCK_ROWS
+        stop = m if stop >= m - 1 else stop
+        yield slice(start, stop)
+        start = stop
+
+
+def plain_blocked(fn, x):
+    return np.concatenate([fn(x[rows]) for rows in plain_row_blocks(x.shape[0])])
+
+
+def plain_encode_rows(p, x):
+    h = select_relu(plain_affine(x, p.enc_w1.data, p.enc_b1.data))
+    return plain_affine(h, p.enc_w2.data, p.enc_b2.data)
+
+
+def plain_encode(p, x):
+    return plain_blocked(lambda xb: plain_encode_rows(p, xb), x)
+
+
+def plain_forward(p, x):
+    return plain_blocked(
+        lambda xb: plain_affine(plain_encode_rows(p, xb), p.cls_w.data, p.cls_b.data), x)
+
+
+def plain_emp_forward(p, zs, zt):
+    pair = np.concatenate([zs, zt], axis=1)
+    h = select_relu(plain_affine(pair, p.emp_w1.data, p.emp_b1.data))
+    return plain_affine(h, p.emp_w2.data, p.emp_b2.data)
+
+
+def plain_grid_logits(p, xs, xt):
+    return plain_forward(p, mix_np(xs, xt, RATIO_GRID[:, None, None]).reshape(-1, xs.shape[1]))
+
+
+def plain_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def plain_entropy_rows(z):
+    p = plain_softmax(z)
+    return -(p * np.log(np.maximum(p, dc.LOG_EPS))).sum(axis=1)

@@ -478,6 +478,47 @@ class TestCoviStep:
         assert str(excinfo.value) == expected
         assert sorted(f.name for f in tmp_path.iterdir()) == ["diverged_step_3.txt"]
 
+    def test_overflowing_outputs_abort_with_diagnostic(self, tmp_path):
+        # finite parameters whose logits overflow: the phase-1 grid table is
+        # where the step first reads them, and a nan there used to surface
+        # as a usage error from the label check of the learner's loss
+        cfg = tiny_cfg(out_dir=str(tmp_path))
+        ds, p, seeds = setup_run(cfg)
+        p.enc_w1.data *= 1e200
+        p.enc_w2.data *= 1e200
+        batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as excinfo:
+            covi_step(
+                p, batcher.next_batch(), cfg,
+                SGD(p.theta_params(), cfg.lr, cfg.momentum),
+                SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
+                np.random.default_rng(seeds.views), ds, 3,
+            )
+        assert str(excinfo.value).startswith(
+            "aborted at step 3: non-finite grid entropy table: the model's logits overflowed "
+            "in phase 'ratio-learner ascent'\n")
+        dump = (tmp_path / "diverged_step_3.txt").read_text(encoding="utf-8")
+        assert dump == str(excinfo.value)
+
+    @pytest.mark.parametrize("w_ct,phase", [(1.0, "contrastive"), (0.0, "consensus")])
+    def test_overflow_behind_a_mask_aborts_with_diagnostic(self, tmp_path, w_ct, phase):
+        # a theta step at lr 1e300 leaves finite parameters whose target
+        # logits overflow, read first by the next confidence mask
+        cfg = tiny_cfg(w_ct=w_ct, out_dir=str(tmp_path))
+        ds, p, seeds = setup_run(cfg)
+        batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as excinfo:
+            covi_step(
+                p, batcher.next_batch(), cfg,
+                SGD(p.theta_params(), 1e300, cfg.momentum),
+                SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
+                np.random.default_rng(seeds.views), ds, 0,
+            )
+        assert str(excinfo.value).startswith(
+            "aborted at step 0: non-finite top-1 probabilities: the model's logits overflowed "
+            f"in phase '{phase}'\n")
+        assert (tmp_path / "diverged_step_0.txt").read_text(encoding="utf-8") == str(excinfo.value)
+
     def test_theta_graph_outlives_a_phi_step_but_not_a_theta_step(self):
         cfg = tiny_cfg()
         ds, p, seeds = setup_run(cfg)
