@@ -20,10 +20,11 @@ from .diffcore import SGD, ContractError, Tensor, backward
 from .contrastive import confidence_mask
 from .domains import DomainBatch, DomainBatcher, make_two_moons_pair
 from .diagnostics import (
-    DEFAULT_SWEEP_SAMPLES,
     empirical_emp,
     equilibrium_report,
+    flip_text,
     lambda_sweep,
+    sweep_samples,
     write_sweep_csv,
 )
 from .model import RATIO_GRID, init_model, load_checkpoint, logits_of
@@ -121,13 +122,12 @@ def _cmd_eval(cfg: TrainConfig) -> int:
 def _cmd_sweep(cfg: TrainConfig) -> int:
     p = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
-    rows = lambda_sweep(p, ds, n_samples=min(DEFAULT_SWEEP_SAMPLES, ds.n_source))
+    rows = lambda_sweep(p, ds, n_samples=sweep_samples(ds))
     path = os.path.join(cfg.out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
     lam_max, lam_flip = empirical_emp(rows)
-    flip_text = "absent" if lam_flip is None else f"{lam_flip:.1f}"
     print(f"sweep: {path}")
-    print(f"entropy_peak_lambda={lam_max:.1f} dominance_flip_lambda={flip_text}")
+    print(f"entropy_peak_lambda={lam_max:.1f} dominance_flip_lambda={flip_text(lam_flip)}")
     return 0
 
 
@@ -135,11 +135,9 @@ def _cmd_equilibrium(cfg: TrainConfig) -> int:
     before = load_checkpoint(_checkpoint_path(cfg, "checkpoint_warmup.ckpt"))
     after = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
     ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
-    n_samples = min(DEFAULT_SWEEP_SAMPLES, ds.n_source)
-    report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=n_samples)
+    report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=sweep_samples(ds))
     print(f"report: {report.summary_path}")
-    with open(report.summary_path, encoding="utf-8") as fh:
-        print(fh.read().rstrip())
+    print(report.summary().rstrip())
     return 0
 
 

@@ -17,11 +17,21 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ContractError
 from .domains import DomainPairDataset
-from .model import RATIO_GRID, ModelParams, atomic_open
-from .vicinal import grid_logits
+from .model import RATIO_GRID, ModelParams, atomic_open, grid_logits
 
 DEFAULT_SWEEP_SAMPLES = 256
 SWEEP_HEADER = ["lambda", "mean_entropy", "source_dom", "target_dom"]
+
+
+def sweep_samples(ds: DomainPairDataset) -> int:
+    """Pairs the read verbs sweep: DEFAULT_SWEEP_SAMPLES, or every source
+    row of a smaller dataset."""
+    return min(DEFAULT_SWEEP_SAMPLES, ds.n_source)
+
+
+def flip_text(lam_flip: float | None) -> str:
+    """A dominance-flip ratio as the reports print it."""
+    return "absent" if lam_flip is None else f"{lam_flip:.1f}"
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,14 @@ class EquilibriumReport:
     csv_after: str
     summary_path: str
 
+    def summary(self) -> str:
+        """The text written to summary_path: one line per checkpoint."""
+        return (
+            "checkpoint,entropy_peak_lambda,dominance_flip_lambda\n"
+            f"before,{self.before_emp:.1f},{flip_text(self.before_flip)}\n"
+            f"after,{self.after_emp:.1f},{flip_text(self.after_flip)}\n"
+        )
+
 
 def equilibrium_report(
     before: ModelParams,
@@ -144,17 +162,7 @@ def equilibrium_report(
     write_sweep_csv(before_rows, csv_before)
     write_sweep_csv(after_rows, csv_after)
 
-    def fmt_flip(v):
-        return "absent" if v is None else f"{v:.1f}"
-
-    summary_path = os.path.join(out_dir, "equilibrium_summary.txt")
-    with atomic_open(summary_path) as fh:
-        fh.write(
-            "checkpoint,entropy_peak_lambda,dominance_flip_lambda\n"
-            f"before,{before_emp:.1f},{fmt_flip(before_flip)}\n"
-            f"after,{after_emp:.1f},{fmt_flip(after_flip)}\n"
-        )
-    return EquilibriumReport(
+    report = EquilibriumReport(
         before_rows=before_rows,
         after_rows=after_rows,
         before_emp=before_emp,
@@ -163,5 +171,8 @@ def equilibrium_report(
         after_flip=after_flip,
         csv_before=csv_before,
         csv_after=csv_after,
-        summary_path=summary_path,
+        summary_path=os.path.join(out_dir, "equilibrium_summary.txt"),
     )
+    with atomic_open(report.summary_path) as fh:
+        fh.write(report.summary())
+    return report

@@ -13,12 +13,6 @@ buffers are the optimizer (parameters, velocities) and backward (the
 grad of leaf tensors). The optimizer bumps a parameter's version on every
 write, and backward refuses a graph built before such a write: its VJPs
 would mix the old activations with the new weights.
-
-Graphs are single-use: backward consumes every node whose VJP it runs,
-because the network nodes' VJPs hand their activations back to the
-model's scratch free list, where the next forward overwrites them. A loss
-that reaches a consumed node raises ContractError before any gradient is
-written; a fresh graph accumulates into .grad as before.
 """
 
 from __future__ import annotations
@@ -288,27 +282,17 @@ def entropy_rows_np(logits: np.ndarray) -> np.ndarray:
 # backward
 
 
-def _consumed(g):
-    """The VJP of a node that backward has run; backward refuses a graph
-    that reaches one before calling it."""
-    raise ContractError("backward through a consumed graph")
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad for every tracked leaf.
 
     Only leaves (tensors without a VJP, i.e. parameters and tracked
-    inputs) receive .grad; op outputs keep grad None. Calls on fresh
-    graphs without zeroing accumulate additively. Propagation uses a
-    per-call table so earlier accumulated grads never feed back into the
-    current pass; a node's incoming gradient leaves the table once its VJP
-    has run, and a None parent gradient (one its VJP did not compute) is
+    inputs) receive .grad; op outputs keep grad None. Repeated calls
+    without zeroing accumulate additively. Propagation uses a per-call
+    table so earlier accumulated grads never feed back into the current
+    pass; a node's incoming gradient leaves the table once its VJP has
+    run, and a None parent gradient (one its VJP did not compute) is
     skipped. A graph whose parameters an optimizer step has written since
     it was built raises ContractError before any gradient is written.
-
-    Each node whose VJP runs is consumed (see the module docstring), so a
-    graph is backpropagated once: a loss that reaches a consumed node
-    raises ContractError, again before any gradient is written.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -316,7 +300,6 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not connected to any tracked tensor")
 
     order: list[Tensor] = []
-    consumed = False
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
@@ -327,7 +310,6 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        consumed = consumed or node._vjp is _consumed
         stack.append((node, True))
         for parent, version in zip(node._parents, node._parent_versions):
             if parent._version != version:
@@ -337,13 +319,6 @@ def backward(loss: Tensor) -> None:
                 )
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    # after the walk, so that a graph both stale and consumed reports the
-    # optimizer step that made it stale
-    if consumed:
-        raise ContractError(
-            "backward through a consumed graph: an earlier backward already ran "
-            "its VJPs; build the loss again"
-        )
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
@@ -356,9 +331,7 @@ def backward(loss: Tensor) -> None:
             else:
                 node.grad = node.grad + g
             continue
-        parent_grads = node._vjp(g)
-        node._vjp = _consumed
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -116,10 +117,17 @@ def init_model(
     return _params_from(dims, seed, arrays)
 
 
+# Scratch arrays: the forwards and VJPs below write their temporaries into
+# arrays from a per-thread free list, so the wide step reuses its memory
+# instead of page-faulting on fresh arrays. This module alone decides when
+# an array goes back: a tape-free forward gives its temporaries back before
+# it returns, a VJP its own right away, and a network node its activations
+# once the node is released. Nothing handed to a caller is a scratch array.
+
 # Arrays under glibc's default mmap threshold (128 KiB) come from the heap
 # without page faults, so below it the forwards let numpy allocate: the free
 # list's bookkeeping would cost more than it saves at the 64-row shapes.
-SCRATCH_MIN_BYTES = 128 * 1024
+_SCRATCH_MIN_BYTES = 128 * 1024
 
 
 class _FreeLists(threading.local):
@@ -133,17 +141,16 @@ _scratch = _FreeLists()
 _ITEMSIZE = {np.float64: 8, np.bool_: 1}
 
 
-def take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
+def _take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
     """The `out=` argument for a numpy call that makes a temporary of
-    `shape`: None under SCRATCH_MIN_BYTES, so numpy allocates a fresh array,
-    and otherwise an uninitialized C-contiguous array from this thread's
-    free list, which keeps arrays by dtype and last dimension and lends the
-    leading rows of one with room. A popped array that is too small is
-    dropped, so each list holds no more arrays than were ever taken at
-    once. Only the model's forwards and their VJPs take scratch; nothing
-    they hand to a caller is one."""
+    `shape`: None under _SCRATCH_MIN_BYTES, so numpy allocates a fresh
+    array, and otherwise an uninitialized C-contiguous array from this
+    thread's free list, which keeps arrays by dtype and last dimension and
+    lends the leading rows of one with room. A popped array that is too
+    small is dropped, so each list holds no more arrays than were ever
+    taken at once."""
     width, rows = shape[-1], math.prod(shape[:-1])
-    if rows * width * _ITEMSIZE[dtype] < SCRATCH_MIN_BYTES:
+    if rows * width * _ITEMSIZE[dtype] < _SCRATCH_MIN_BYTES:
         return None
     free = _scratch.free.get((dtype, width))
     if free:
@@ -153,14 +160,14 @@ def take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray
     return np.empty((rows, width), dtype).reshape(shape)
 
 
-def give_scratch(*arrays: np.ndarray) -> None:
-    """Hand arrays made with take_scratch's `out=` back to this thread's
+def _give_scratch(*arrays: np.ndarray) -> None:
+    """Hand arrays made with _take_scratch's `out=` back to this thread's
     free list; the fresh ones numpy made under the size gate are let go.
     The caller must not touch them afterwards; each may be given once."""
     free = _scratch.free
     for a in arrays:
         owner = a if a.base is None else a.base
-        if owner.nbytes >= SCRATCH_MIN_BYTES:
+        if owner.nbytes >= _SCRATCH_MIN_BYTES:
             free.setdefault((owner.dtype.type, owner.shape[1]), []).append(owner)
 
 
@@ -173,20 +180,20 @@ def _constant(x: Tensor) -> np.ndarray:
 
 def _scratch_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x @ w + b into a scratch array."""
-    return affine_np(x, w, b, take_scratch((x.shape[0], w.shape[1])))
+    return affine_np(x, w, b, _take_scratch((x.shape[0], w.shape[1])))
 
 
 def _hidden_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ReLU(x @ w + b) and its `pre-activation > 0` mask, both scratch; the
     mask is taken before the ReLU runs in place."""
     h = _scratch_affine(x, w, b)
-    mask = np.greater(h, 0.0, out=take_scratch(h.shape, np.bool_))
+    mask = np.greater(h, 0.0, out=_take_scratch(h.shape, np.bool_))
     return relu_np(h), mask
 
 
 def _hidden_vjp(g: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(g @ w.T) * mask into a scratch array: the multiply runs in place."""
-    gh = np.matmul(g, w.T, out=take_scratch((g.shape[0], w.shape[0])))
+    gh = np.matmul(g, w.T, out=_take_scratch((g.shape[0], w.shape[0])))
     gh *= mask
     return gh
 
@@ -195,21 +202,23 @@ def logits_of(p: ModelParams, x: Tensor) -> Tensor:
     """Class logits of constant inputs, as one tape node whose parents are
     the theta parameters. The forward runs the steps of `forward_np`; the
     VJP runs the three layer VJPs from last to first. The activations are
-    scratch arrays that the VJP hands back once it has run, which is why a
-    graph can be backpropagated only once (see `diffcore.backward`)."""
+    scratch arrays that go back to the free list when the node is released,
+    not when the VJP runs, so a graph can be backpropagated more than once:
+    only the node holds the VJP, and a finalizer on the VJP gives them back."""
     x = _constant(x)
     _check_inputs(p, x)
     w1, b1, w2, b2, wc, bc = (t.data for t in p.theta_params())
     h, mask = _hidden_layer(x, w1, b1)
-    z = affine_np(h, w2, b2, take_scratch((x.shape[0], p.feat_dim)))
+    z = affine_np(h, w2, b2, _take_scratch((x.shape[0], p.feat_dim)))
 
     def vjp(g):
-        gz = np.matmul(g, wc.T, out=take_scratch((g.shape[0], p.feat_dim)))
+        gz = np.matmul(g, wc.T, out=_take_scratch((g.shape[0], p.feat_dim)))
         gh = _hidden_vjp(gz, w2, mask)
         grads = x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
-        give_scratch(h, mask, z, gz, gh)
+        _give_scratch(gz, gh)
         return grads
 
+    weakref.finalize(vjp, _give_scratch, h, mask, z)
     return tape_node(affine_np(z, wc, bc), tuple(p.theta_params()), vjp)
 
 
@@ -217,13 +226,14 @@ def _pair_scratch(zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """[zs | zt] into a scratch array."""
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    return np.concatenate([zs, zt], axis=1, out=take_scratch((zs.shape[0], 2 * zs.shape[1])))
+    return np.concatenate([zs, zt], axis=1, out=_take_scratch((zs.shape[0], 2 * zs.shape[1])))
 
 
 def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
     """Grid logits for each pair of constant source/target features, one
     row per pair, as one tape node whose parents are the phi parameters.
-    Its scratch arrays go back when the VJP has run, as in `logits_of`."""
+    Its scratch arrays go back when the node is released, as in
+    `logits_of`."""
     pair = _pair_scratch(_constant(zs), _constant(zt))
     w1, b1, w2, b2 = (t.data for t in p.phi_params())
     h, mask = _hidden_layer(pair, w1, b1)
@@ -231,9 +241,10 @@ def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
     def vjp(g):
         gh = _hidden_vjp(g, w2, mask)
         grads = pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
-        give_scratch(pair, h, mask, gh)
+        _give_scratch(gh)
         return grads
 
+    weakref.finalize(vjp, _give_scratch, pair, h, mask)
     return tape_node(affine_np(h, w2, b2), tuple(p.phi_params()), vjp)
 
 
@@ -276,7 +287,7 @@ def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
 def _encode_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     h = relu_np(_scratch_affine(x, p.enc_w1.data, p.enc_b1.data))
     z = affine_np(h, p.enc_w2.data, p.enc_b2.data, out)
-    give_scratch(h)
+    _give_scratch(h)
     return z
 
 
@@ -285,9 +296,9 @@ def _classify_rows(p: ModelParams, z: np.ndarray, out: np.ndarray | None) -> np.
 
 
 def _logits_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    z = _encode_rows(p, x, take_scratch((x.shape[0], p.feat_dim)))
+    z = _encode_rows(p, x, _take_scratch((x.shape[0], p.feat_dim)))
     logits = _classify_rows(p, z, out)
-    give_scratch(z)
+    _give_scratch(z)
     return logits
 
 
@@ -324,6 +335,27 @@ def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     return _by_row_blocks(lambda xb, out: _logits_rows(p, xb, out), p.n_classes, x)
 
 
+def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Class logits of every source/target pair mixed at every grid ratio,
+    shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
+    ratio k. One stacked forward, with the same elementwise mix as one
+    forward per ratio. A row keeps the bits of its per-ratio forward where
+    BLAS sums it alike in both: always when m is the 256-row forward block,
+    since each ratio is then one block, and otherwise as measured (OpenBLAS,
+    x86-64) at the default shape for every m that is a multiple of 4, as the
+    default batch of 64 is, and at the wide shape for every m tried.
+    """
+    shape = (RATIO_GRID_SIZE, *xs.shape)
+    grid = RATIO_GRID[:, None, None]
+    # vicinal.mix_np's two products and their sum, into scratch arrays
+    mixes = np.multiply(1.0 - grid, xs, out=_take_scratch(shape))
+    part = np.multiply(grid, xt, out=_take_scratch(shape))
+    mixes += part
+    logits = forward_np(p, mixes.reshape(-1, xs.shape[1]))
+    _give_scratch(mixes, part)
+    return logits
+
+
 def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """Tape-free grid logits: the same values as `emp_forward`, bit for bit.
 
@@ -334,7 +366,7 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     pair = _pair_scratch(zs, zt)
     h = relu_np(_scratch_affine(pair, p.emp_w1.data, p.emp_b1.data))
     logits = affine_np(h, p.emp_w2.data, p.emp_b2.data)
-    give_scratch(pair, h)
+    _give_scratch(pair, h)
     return logits
 
 

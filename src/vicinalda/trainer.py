@@ -131,6 +131,8 @@ class TrainConfig:
             raise ContractError("batch_size must lie in [1, n_per_domain]")
         if self.checkpoint_every < 0:
             raise ContractError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         # config_echo must reproduce the run, so out_dir has to survive its
         # `key = value` line (parse_config_text strips and splits lines)
         if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
@@ -138,10 +140,12 @@ class TrainConfig:
 
 
 def _coerce(field: dataclasses.Field, raw: str, key: str):
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
+    for kind, parse, noun in (("int", int, "an integer"), ("float", float, "a number")):
+        if field.type in (kind, parse):
+            try:
+                return parse(raw)
+            except ValueError:
+                raise ContractError(f"config key {key}: expected {noun}, got {raw!r}") from None
     if field.type in ("bool", bool):
         low = raw.lower()
         if low in ("true", "1", "yes"):

@@ -18,16 +18,13 @@ from .diffcore import ContractError, Tensor
 from .domains import DomainBatch
 from .model import (
     RATIO_GRID,
-    RATIO_GRID_SIZE,
     ModelParams,
     emp_forward,
     emp_forward_np,
     encode_np,
-    forward_np,
-    give_scratch,
+    grid_logits,
     logits_of,
     pseudo_labels,
-    take_scratch,
 )
 
 
@@ -77,27 +74,6 @@ def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     """Soft labels (1 - lam) * ys + lam * yt_hat; constant, no gradient."""
     lam_col = lam.values[:, None]
     return Tensor((1.0 - lam_col) * ys.data + lam_col * yt_hat.data)
-
-
-def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Class logits of every source/target pair mixed at every grid ratio,
-    shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
-    ratio k. One stacked forward, with the same elementwise mix as one
-    forward per ratio. A row keeps the bits of its per-ratio forward where
-    BLAS sums it alike in both: always when m is the 256-row forward block,
-    since each ratio is then one block, and otherwise as measured (OpenBLAS,
-    x86-64) at the default shape for every m that is a multiple of 4, as the
-    default batch of 64 is, and at the wide shape for every m tried.
-    """
-    shape = (RATIO_GRID_SIZE, *xs.shape)
-    grid = RATIO_GRID[:, None, None]
-    # mix_np's two products and their sum, into scratch arrays
-    mixes = np.multiply(1.0 - grid, xs, out=take_scratch(shape))
-    part = np.multiply(grid, xt, out=take_scratch(shape))
-    mixes += part
-    logits = forward_np(p, mixes.reshape(-1, xs.shape[1]))
-    give_scratch(mixes, part)
-    return logits
 
 
 def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:

@@ -73,6 +73,26 @@ class TestUsageErrors:
         assert "no grid ratio" in res.stderr
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("how,key", [("set", "batch_size"), ("config", "seed")])
+    def test_malformed_number_exits_2_naming_the_key(self, tmp_path, how, key):
+        out = tmp_path / "run"
+        if how == "set":
+            res = run_cli("train", "--set", f"{key}=abc", "--out", str(out))
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = x\n")
+            res = run_cli("train", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 2
+        assert f"config key {key}" in res.stderr and "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("train", "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2
+        assert "seed must be >= 0" in res.stderr
+        assert not out.exists()
+
     def test_eval_without_checkpoint_exits_1(self, tmp_path):
         res = run_cli("eval", "--out", str(tmp_path), *TINY)
         assert res.returncode == 1

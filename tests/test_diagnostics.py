@@ -10,6 +10,7 @@ from vicinalda.diagnostics import (
     SweepRow,
     empirical_emp,
     equilibrium_report,
+    flip_text,
     lambda_sweep,
     write_sweep_csv,
 )
@@ -189,6 +190,12 @@ class TestEquilibriumReport:
         text = open(report.summary_path).read()
         assert text.startswith("checkpoint,entropy_peak_lambda,dominance_flip_lambda\n")
         assert "before," in text and "after," in text
+        # the equilibrium verb prints this text without reading the file back
+        assert text == report.summary()
+
+    def test_flip_text(self):
+        assert flip_text(None) == "absent"
+        assert flip_text(0.5) == "0.5"
 
     def test_write_read_cycle_standalone(self, tmp_path):
         rows = [SweepRow(lam=0.3, mean_entropy=0.25, source_dom=0.75, target_dom=0.5)]

@@ -18,10 +18,10 @@ from vicinalda.model import (
     emp_forward_np,
     encode_np,
     forward_np,
+    grid_logits,
     logits_of,
 )
 from vicinalda.trainer import TrainConfig, covi_step, derive_seeds, make_dataset, warmup
-from vicinalda.vicinal import grid_logits
 
 from tape_oracle import (
     plain_emp_forward,
@@ -236,26 +236,65 @@ class TestThreads:
                 assert_same_bits(a, b)
 
 
-class TestSingleUseGraphs:
+def wide_node(network, p, rng):
+    """A network node at 512 rows of the wide shape, over the size gate."""
+    if network == "logits_of":
+        return logits_of(p, Tensor(rng.normal(size=(512, 16))))
+    return emp_forward(p, *(Tensor(rng.normal(size=(512, 64))) for _ in range(2)))
+
+
+class TestNodeLifetime:
+    # a network node keeps its activations until it is released, so its
+    # graph can be backpropagated again after other forwards reused memory
     @pytest.mark.parametrize("network", ["logits_of", "emp_forward"])
-    def test_second_backward_through_a_consumed_node_writes_nothing(self, network):
+    def test_second_backward_doubles_the_gradients(self, network):
         p = perturbed_model(16, 5, 64, 256)
         rng = np.random.default_rng(3)
-        if network == "logits_of":
-            node = logits_of(p, Tensor(rng.normal(size=(512, 16))))
-        else:
-            node = emp_forward(p, *(Tensor(rng.normal(size=(512, 64))) for _ in range(2)))
-        loss = tsum(node)
+        node = wide_node(network, p, rng)
+        loss = tsum(node * Tensor(rng.normal(size=node.shape)))
         backward(loss)
-        for _, t in p.named_params():
-            t.zero_grad()
-        # the loss itself, and a new loss over the consumed node
-        for again in (loss, tsum(node * 2.0)):
-            with pytest.raises(ContractError, match="consumed graph"):
-                backward(again)
-            assert all(t.grad is None for _, t in p.named_params())
+        first = {name: t.grad.copy() for name, t in p.named_params() if t.grad is not None}
+        # forwards and backwards of the same shapes in between
+        for _ in range(2):
+            backward(tsum(wide_node(network, p, rng)))
+            forward_np(p, rng.normal(size=(512, 16)))
+            emp_forward_np(p, *(rng.normal(size=(512, 64)) for _ in range(2)))
+        for name in first:
+            getattr(p, name).zero_grad()
+        backward(loss)
+        backward(loss)
+        for name, grad in first.items():
+            assert_same_bits(getattr(p, name).grad, grad + grad)
 
-    def test_a_fresh_graph_after_a_consumed_one_backpropagates(self):
+    # pooled arrays at 512 rows: logits_of holds h, its mask and z, and its
+    # VJP takes gz and gh; emp_forward holds the pair and h (its bool mask
+    # is under the gate), and its VJP takes gh
+    @pytest.mark.parametrize("network,vjp_temporaries,activations",
+                             [("logits_of", 2, 3), ("emp_forward", 1, 2)])
+    def test_activations_return_when_the_loss_is_dropped(
+            self, network, vjp_temporaries, activations):
+        def run():
+            p = perturbed_model(16, 5, 64, 256)
+            loss = tsum(wide_node(network, p, np.random.default_rng(8)))
+            counts = [free_list_count()]
+            backward(loss)
+            counts.append(free_list_count())
+            del loss
+            counts.append(free_list_count())
+            return counts
+
+        assert in_thread(run) == [0, vjp_temporaries, vjp_temporaries + activations]
+
+    def test_stale_graph_still_raises(self):
+        p = perturbed_model(16, 5, 64, 256)
+        loss = tsum(wide_node("logits_of", p, np.random.default_rng(4)))
+        backward(loss)
+        SGD(p.theta_params(), lr=0.1).step()
+        with pytest.raises(ContractError, match="stale graph"):
+            backward(loss)
+        assert all(t.grad is None for _, t in p.named_params())
+
+    def test_a_fresh_graph_after_a_released_one_gives_the_same_gradients(self):
         p = perturbed_model(2, 2, 32, 64)
         x = np.random.default_rng(4).normal(size=(300, 2))
         first = network_grads(p, logits_of, (x,), np.ones((300, 2)))
