@@ -59,13 +59,14 @@ def lambda_sweep(
     side's true label.
 
     All ratios go through one stacked `grid_logits` forward, and each row's
-    statistics are read from row k of [11 x n] views. Only at the default
-    256 pairs do the rows have the bits of one forward per ratio by
-    construction: each ratio is then exactly one forward block. At other
-    sizes a logit can differ in the last bit (at the default shape it does
-    for sizes that are not a multiple of 4); the tests compare the rows
-    with the per-ratio loop at 32 to 256 pairs on the default and wide
-    shapes, where the means and counts came out the same.
+    statistics are read from row k of [11 x n] views. The rows have the
+    bits of one forward per ratio by construction only when n is the
+    forward block, not at the default 256 pairs, where the blocks straddle
+    the ratios. Elsewhere a logit can differ in the last bit (at the
+    default shape it does for sizes that are not a multiple of 4); the
+    tests compare the rows with the per-ratio loop at 32 to 256 pairs on
+    the default and wide shapes, where the means and counts came out the
+    same, and pin the sweep files' sha256.
     """
     if n_samples > min(ds.n_source, ds.n_target):
         raise ContractError(

@@ -128,6 +128,11 @@ def init_model(
 # without page faults, so below it the forwards let numpy allocate: the free
 # list's bookkeeping would cost more than it saves at the 64-row shapes.
 _SCRATCH_MIN_BYTES = 128 * 1024
+# Arrays over 4 MiB bypass the list too, so one large batch does not pin its
+# temporaries for the life of the thread (a 20,000-row tape at hidden 256
+# makes 41 MB ones). Each benchmark workload's largest temporary is 1 MiB
+# (512 rows at hidden 256), so their steady state stays on the list.
+_SCRATCH_MAX_BYTES = 4 * 1024 * 1024
 
 
 class _FreeLists(threading.local):
@@ -143,14 +148,14 @@ _ITEMSIZE = {np.float64: 8, np.bool_: 1}
 
 def _take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
     """The `out=` argument for a numpy call that makes a temporary of
-    `shape`: None under _SCRATCH_MIN_BYTES, so numpy allocates a fresh
-    array, and otherwise an uninitialized C-contiguous array from this
-    thread's free list, which keeps arrays by dtype and last dimension and
-    lends the leading rows of one with room. A popped array that is too
-    small is dropped, so each list holds no more arrays than were ever
-    taken at once."""
+    `shape`: None outside _SCRATCH_MIN_BYTES to _SCRATCH_MAX_BYTES, so
+    numpy allocates a fresh array, and otherwise an uninitialized
+    C-contiguous array from this thread's free list, which keeps arrays by
+    dtype and last dimension and lends the leading rows of one with room.
+    A popped array that is too small is dropped, so each list holds no more
+    arrays than were ever taken at once, none over _SCRATCH_MAX_BYTES."""
     width, rows = shape[-1], math.prod(shape[:-1])
-    if rows * width * _ITEMSIZE[dtype] < _SCRATCH_MIN_BYTES:
+    if not _SCRATCH_MIN_BYTES <= rows * width * _ITEMSIZE[dtype] <= _SCRATCH_MAX_BYTES:
         return None
     free = _scratch.free.get((dtype, width))
     if free:
@@ -162,12 +167,12 @@ def _take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarra
 
 def _give_scratch(*arrays: np.ndarray) -> None:
     """Hand arrays made with _take_scratch's `out=` back to this thread's
-    free list; the fresh ones numpy made under the size gate are let go.
+    free list; the fresh ones numpy made outside the size gates are let go.
     The caller must not touch them afterwards; each may be given once."""
     free = _scratch.free
     for a in arrays:
         owner = a if a.base is None else a.base
-        if owner.nbytes >= _SCRATCH_MIN_BYTES:
+        if _SCRATCH_MIN_BYTES <= owner.nbytes <= _SCRATCH_MAX_BYTES:
             free.setdefault((owner.dtype.type, owner.shape[1]), []).append(owner)
 
 
@@ -250,9 +255,20 @@ def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
 
 # Rows per block of the tape-free forward. Blocks keep each BLAS call at the
 # shape it has always had, so the bits stay put (see `forward_np`), and keep
-# a block's temporaries cache-sized: at hidden 64 one block's hidden layer
-# is 128 KiB. The temporaries are scratch arrays, reused across calls.
-FORWARD_BLOCK_ROWS = 256
+# a block's temporaries cache-sized. Why 480 (OpenBLAS 0.3.31, two threads,
+# 2-core x86-64): OpenBLAS splits a 256-row product poorly across its two
+# threads, so 256 x 16 @ 16 x 256 takes about 75 us, far longer than 257
+# rows (42 us); over the wide grid table's 5632 rows (16 -> 256 -> 64 -> 5)
+# 256-row blocks took 7.9 ms and 480-row blocks 5.6 ms. Not 512: OpenBLAS
+# runs a product of at most 10^6 multiply-adds single-threaded, and 512 rows
+# push the default shape's 64 -> 32 layer past that (489 rows do), onto the
+# threaded path. That made the default evaluate slower (406 -> 569 us over
+# 2000 rows), and with two processes sharing the two cores each waited on
+# the other's BLAS threads: 24 ms per 2000-row forward, trains 3-5x slower. A
+# 480-row block's widest temporary, the hidden layer at hidden 256, is
+# 960 KiB and fits the 2 MiB per-core L2. The temporaries are scratch
+# arrays, reused across calls.
+FORWARD_BLOCK_ROWS = 480
 
 
 def _row_blocks(m: int):
@@ -340,10 +356,11 @@ def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
     shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
     ratio k. One stacked forward, with the same elementwise mix as one
     forward per ratio. A row keeps the bits of its per-ratio forward where
-    BLAS sums it alike in both: always when m is the 256-row forward block,
-    since each ratio is then one block, and otherwise as measured (OpenBLAS,
-    x86-64) at the default shape for every m that is a multiple of 4, as the
-    default batch of 64 is, and at the wide shape for every m tried.
+    BLAS sums it alike in both: always when m is the forward block, since
+    each ratio is then one block, and otherwise as measured (OpenBLAS,
+    x86-64) at the default shape for every m that is a multiple of 4, as
+    the default batch of 64 is, and at the wide shape for every m tried,
+    the wide batch of 512 included.
     """
     shape = (RATIO_GRID_SIZE, *xs.shape)
     grid = RATIO_GRID[:, None, None]

@@ -320,7 +320,8 @@ def _check_params_finite(step: int, cfg: TrainConfig, p: ModelParams, after: str
     # blowup at the parameters before any phase runs; `after` names the
     # phase that produced them when it is not the adaptation step
     for name, t in p.named_params():
-        if not np.all(np.isfinite(t.data)):
+        # the .all() method, not np.all, which costs a Python-level dispatch
+        if not np.isfinite(t.data).all():
             where = f" after {after}" if after else ""
             _abort_diverged(f"non-finite values in parameter {name}{where}", step, cfg, p)
 

@@ -532,9 +532,38 @@ GOLDEN_FINAL_CHECKPOINT_SHA256 = {
 }
 
 
+# sha256 of metrics.csv and checkpoint_final.ckpt for two short trains
+# whose tape-free forwards cross row-block edges where the default config's
+# do not: the wide shape (an 11 x 512-row grid table, 2048-row evaluate) and
+# the default shape at batch 63 (693 grid rows). Recorded with 256-row
+# forward blocks, before they became 480 rows; same BLAS caveat as above.
+BLOCK_EDGE_CONFIGS = {
+    "wide": dict(dataset="blobs", blob_classes=5, blob_dim=16, n_per_domain=1024,
+                 hidden=256, feat_dim=64, batch_size=512, warmup_epochs=20, covi_epochs=2),
+    "batch63": dict(batch_size=63, covi_epochs=8),
+}
+GOLDEN_BLOCK_EDGE_SHA256 = {
+    "wide": (
+        "90b1e1e595a6d1c728d0f7bb73900ee02344ca78be0d9e2b64769b7ddf9d9dfa",
+        "5f8cb46e20f66ef3e325ac56c9558e4aa4bc806c43e61143cc78a94bfe348438",
+    ),
+    "batch63": (
+        "c0be03ed7d12ddefb25af9f1aed73b106c5e2053fd677bd36549c8d21aae7f6e",
+        "456db38b9b3bbb91225cefd4118c3a1537b51113a37e4062bc0597559dfa93a3",
+    ),
+}
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_CONFIGS))
+def test_block_edge_trains_match_golden_digests(name, tmp_path):
+    _, metrics_path = train(TrainConfig(out_dir=str(tmp_path), **BLOCK_EDGE_CONFIGS[name]))
+    final_path = os.path.join(str(tmp_path), "checkpoint_final.ckpt")
+    assert (_sha256(metrics_path), _sha256(final_path)) == GOLDEN_BLOCK_EDGE_SHA256[name]
 
 
 def test_default_metrics_match_golden_digests(default_runs):

@@ -245,9 +245,11 @@ FORWARD_SHAPES = [
     pytest.param(16, 5, 64, 256, id="wide"),
 ]
 # 300 and 512 are kept-pair and batch sizes at which the step reads taped
-# logits (one unblocked product) where it used to run the blocked forward
-FORWARD_ROWS = [1, 64, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 300, 2 * FORWARD_BLOCK_ROWS,
-                2 * FORWARD_BLOCK_ROWS + 1, 2000]
+# logits (one unblocked product) where it used to run the blocked forward;
+# 256, 257 and 513 sit where OpenBLAS splits 256-row products poorly and
+# around the wide batch
+FORWARD_ROWS = [1, 64, 256, 257, 300, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 512, 513,
+                2 * FORWARD_BLOCK_ROWS, 2 * FORWARD_BLOCK_ROWS + 1, 2000]
 
 
 class TestTapeFreeForward:

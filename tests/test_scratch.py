@@ -37,10 +37,12 @@ from tape_oracle import (
 from test_diffcore import assert_same_bits
 from test_model import FORWARD_SHAPES, perturbed_model
 
-# around the 64-row batch, the 256-row forward block and the 512-row batch;
+# around the 64-row batch, the 480-row forward block and two blocks, the
+# 512-row batch, and 256 rows (where OpenBLAS splits products poorly);
 # larger sizes first, so that smaller ones run in the leading rows of
 # reused arrays holding earlier results
-ROWS = [1000, 513, 512, 257, 256, 255, 64, 63, 2, 1]
+ROWS = [1025, 1024, 1000, 961, 960, 513, 512, 511, 481, 480, 479, 257, 256, 255,
+        64, 63, 2, 1]
 
 
 def free_list_count() -> int:
@@ -196,6 +198,34 @@ class TestFreeListBounds:
 
         # 64 rows at hidden 64 is 32 KiB a layer, under the size gate
         assert in_thread(run) == 0
+
+
+class TestFreeListCap:
+    def test_a_large_tape_keeps_nothing_over_the_cap(self):
+        # 20,000 rows at the wide shape: 41 MB a hidden-layer array
+        def run():
+            p = perturbed_model(16, 5, 64, 256)
+            rng = np.random.default_rng(6)
+            x, g = rng.normal(size=(20000, 16)), rng.normal(size=(20000, 5))
+            got = network_grads(p, logits_of, (x,), g)
+            want = network_grads(p, unfused_logits_of, (x,), g)
+            return got, want, [a.nbytes for a in free_arrays()]
+
+        got, want, kept = in_thread(run)
+        assert sorted(got) == sorted(want)
+        for name in got:
+            assert_same_bits(got[name], want[name])
+        assert kept == []
+
+    def test_arrays_up_to_the_cap_are_kept(self):
+        def run(rows):
+            taken = model._take_scratch((rows, 256))
+            model._give_scratch(np.empty((rows, 256)) if taken is None else taken)
+            return taken is None, [a.nbytes for a in free_arrays()]
+
+        cap_rows = model._SCRATCH_MAX_BYTES // (256 * 8)
+        assert in_thread(run, cap_rows) == (False, [model._SCRATCH_MAX_BYTES])
+        assert in_thread(run, cap_rows + 1) == (True, [])
 
 
 class TestThreads:
