@@ -25,7 +25,6 @@ from .diffcore import (
     Tensor,
     backward,
     cross_entropy,
-    matmul,
 )
 from .domains import (
     DomainBatch,
@@ -56,7 +55,7 @@ from .vicinal import (
 
 __all__ = [
     "SGD", "ContractError", "ShapeError", "Tensor", "backward",
-    "cross_entropy", "matmul",
+    "cross_entropy",
     "DomainBatch", "DomainBatcher", "DomainPairDataset",
     "make_blobs_pair", "make_two_moons_pair",
     "RATIO_GRID", "ModelParams", "emp_forward",

@@ -18,7 +18,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import SGD, ContractError, Tensor, backward
 from .contrastive import confidence_mask
-from .domains import DomainBatch, DomainBatcher, make_two_moons_pair
+from .domains import DomainBatch, DomainBatcher, DomainPairDataset
 from .diagnostics import (
     empirical_emp,
     equilibrium_report,
@@ -27,7 +27,7 @@ from .diagnostics import (
     sweep_samples,
     write_sweep_csv,
 )
-from .model import RATIO_GRID, init_model, load_checkpoint, logits_of
+from .model import RATIO_GRID, ModelParams, init_model, load_checkpoint, logits_of
 from .trainer import (
     TrainConfig,
     build_config,
@@ -35,6 +35,8 @@ from .trainer import (
     derive_seeds,
     evaluate,
     make_dataset,
+    model_dims,
+    start_run,
     train,
     warmup,
 )
@@ -93,13 +95,31 @@ def _resolve_config(args) -> TrainConfig:
     return cfg
 
 
-def _checkpoint_path(cfg: TrainConfig, name: str) -> str:
-    path = os.path.join(cfg.out_dir, name)
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"expected checkpoint {path}; run `vicinalda train --out {cfg.out_dir}` first"
-        )
-    return path
+def _load_run(cfg: TrainConfig, *names: str) -> tuple[list[ModelParams], DomainPairDataset]:
+    """The checkpoints `names` under out_dir and the dataset of the run
+    `cfg` resolves to. A checkpoint whose header seed or dims are not that
+    run's raises ContractError before a verb writes anything."""
+    seeds = derive_seeds(cfg.seed)
+    ds = make_dataset(cfg, seeds.data)
+    want = {"model seed": seeds.model, **model_dims(cfg, ds)}
+    checkpoints = []
+    for name in names:
+        path = os.path.join(cfg.out_dir, name)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"expected checkpoint {path}; run `vicinalda train --out {cfg.out_dir}` first"
+            )
+        p = load_checkpoint(path)
+        got = {"model seed": p.seed, **p.dims()}
+        wrong = [f"{k} {got[k]} (checkpoint) vs {v} (config)"
+                 for k, v in want.items() if got[k] != v]
+        if wrong:
+            raise ContractError(
+                f"{path} is from another run: {', '.join(wrong)}; pass the --seed, "
+                "--config and --set flags `train` was given"
+            )
+        checkpoints.append(p)
+    return checkpoints, ds
 
 
 def _cmd_train(cfg: TrainConfig) -> int:
@@ -112,16 +132,14 @@ def _cmd_train(cfg: TrainConfig) -> int:
 
 
 def _cmd_eval(cfg: TrainConfig) -> int:
-    p = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
-    ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
+    (p,), ds = _load_run(cfg, "checkpoint_final.ckpt")
     src_acc, tgt_acc = evaluate(p, ds)
     print(f"source_acc={src_acc:.4f} target_acc={tgt_acc:.4f}")
     return 0
 
 
 def _cmd_sweep(cfg: TrainConfig) -> int:
-    p = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
-    ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
+    (p,), ds = _load_run(cfg, "checkpoint_final.ckpt")
     rows = lambda_sweep(p, ds, n_samples=sweep_samples(ds))
     path = os.path.join(cfg.out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
@@ -132,9 +150,7 @@ def _cmd_sweep(cfg: TrainConfig) -> int:
 
 
 def _cmd_equilibrium(cfg: TrainConfig) -> int:
-    before = load_checkpoint(_checkpoint_path(cfg, "checkpoint_warmup.ckpt"))
-    after = load_checkpoint(_checkpoint_path(cfg, "checkpoint_final.ckpt"))
-    ds = make_dataset(cfg, derive_seeds(cfg.seed).data)
+    (before, after), ds = _load_run(cfg, "checkpoint_warmup.ckpt", "checkpoint_final.ckpt")
     report = equilibrium_report(before, after, ds, cfg.out_dir, n_samples=sweep_samples(ds))
     print(f"report: {report.summary_path}")
     print(report.summary().rstrip())
@@ -152,16 +168,15 @@ def _check_gradients(rng) -> bool:
     phi. The contrastive and consensus labels are argmaxes of the logits
     being differentiated, so the test suite checks those losses on trials
     screened for a safe argmax margin instead."""
-    one_hot = np.eye(3)
     for trial in range(10):
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=trial)
         batch = DomainBatch(
             xs=Tensor(rng.normal(size=(4, 3))),
-            ys=Tensor(one_hot[rng.integers(0, 3, 4)]),
+            ys=Tensor(dc.one_hot(rng.integers(0, 3, 4), 3)),
             xt=Tensor(rng.normal(size=(4, 3))),
         )
         lam = ratios(rng.uniform(0.1, 0.9, 4))
-        yt_hat = Tensor(one_hot[rng.integers(0, 3, 4)])
+        yt_hat = Tensor(dc.one_hot(rng.integers(0, 3, 4), 3))
         for fn, params in (
             (lambda: emp_mixup_loss(p, batch, lam, yt_hat), p.theta_params()),
             (lambda: emp_learner_loss(p, batch), p.phi_params()),
@@ -187,8 +202,7 @@ def _check_softmax_and_entropy(rng) -> bool:
 def _check_brute_force_maximality(rng) -> bool:
     p = init_model(d=2, n_classes=2, seed=1)
     m = 32
-    ys = np.zeros((m, 2))
-    ys[np.arange(m), rng.integers(0, 2, m)] = 1.0
+    ys = dc.one_hot(rng.integers(0, 2, m), 2)
     batch = DomainBatch(
         xs=Tensor(rng.normal(size=(m, 2))), ys=Tensor(ys), xt=Tensor(rng.normal(size=(m, 2)))
     )
@@ -229,12 +243,10 @@ def _check_mix_identities(rng) -> bool:
 def _check_emp_agreement(seed: int) -> bool:
     """Compact run of the learned-vs-exhaustive ratio agreement protocol."""
     cfg = TrainConfig(seed=seed)
-    seeds = derive_seeds(seed)
-    ds = make_two_moons_pair(1000, 40.0, 0.05, seeds.data)
-    p = init_model(d=2, n_classes=2, seed=seeds.model)
+    seeds, ds, p = start_run(cfg)
     warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
-    opt_phi = SGD(p.phi_params(), lr=0.05, momentum=0.9)
-    batcher = DomainBatcher(ds, 64, np.random.default_rng(seeds.covi_batches))
+    opt_phi = SGD(p.phi_params(), lr=cfg.phi_lr, momentum=cfg.momentum)
+    batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
     total = 2000
     for step in range(total):
         if step == int(total * 0.75):

@@ -18,6 +18,7 @@ from .diffcore import ContractError, Tensor
 from .contrastive import confidence_mask, target_top1_probs
 from .domains import DomainBatch
 from .model import ModelParams, logits_of, one_hot_argmax
+from .vicinal import mix_np
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,10 @@ def make_views(batch: DomainBatch, lam_p: float, rng: np.random.Generator) -> Co
         raise ContractError(f"lam_p must lie in [0, 0.5], got {lam_p}")
     shuffle = rng.permutation(batch.m)
     xs, xt = batch.xs.data, batch.xt.data
+    # lam_p is the source fraction, so the target rows go first
     return ConsensusViews(
-        x_v1=Tensor(lam_p * xs + (1.0 - lam_p) * xt),
-        x_v2=Tensor(lam_p * xs[shuffle] + (1.0 - lam_p) * xt),
+        x_v1=Tensor(mix_np(xt, xs, lam_p)),
+        x_v2=Tensor(mix_np(xt, xs[shuffle], lam_p)),
         shuffle=shuffle,
         lam_p=lam_p,
         xt=Tensor(xt),

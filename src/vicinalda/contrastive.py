@@ -146,10 +146,8 @@ def contrastive_loss(
     top1_sd = one_hot_argmax(z_sd.data, n)
     top1_td = one_hot_argmax(z_td.data, n)
 
-    lam_sd = pairs.lam_sd.values[:, None]
-    lam_td = pairs.lam_td.values[:, None]
-    label_td = lam_td * yt_hat.data[idx] + (1.0 - lam_td) * top1_sd
-    label_sd = (1.0 - lam_sd) * ys.data[idx] + lam_sd * top1_td
+    label_td = mix_np(top1_sd, yt_hat.data[idx], pairs.lam_td.values[:, None])
+    label_sd = mix_np(ys.data[idx], top1_td, pairs.lam_sd.values[:, None])
     loss = dc.cross_entropy(z_td, label_td) + dc.cross_entropy(z_sd, label_sd)
     return (loss, z_sd.data, z_td.data) if return_logits else loss
 
@@ -164,19 +162,9 @@ def swap_agreement_of(z_sd: np.ndarray, z_td: np.ndarray) -> float:
     return float(np.mean((k1_sd == k2_td) & (k1_td == k2_sd)))
 
 
+# kept for bench/tracer.py, which times it by name; covi_step calls
+# swap_agreement_of on the logits its loss tapes
 def swap_agreement(p: ModelParams, pairs: ContrastivePair) -> float:
     """`swap_agreement_of` the kept pairs' views at this theta."""
     return swap_agreement_of(forward_np(p, pairs.x_sd.data), forward_np(p, pairs.x_td.data))
 
-
-def dominance_fractions(
-    p: ModelParams, pairs: ContrastivePair, ys: Tensor
-) -> tuple[float, float]:
-    """Fraction of kept pairs whose view top-1 equals the source label,
-    for the source-dominant and target-dominant views respectively."""
-    if pairs.n_kept == 0:
-        return 0.0, 0.0
-    src_label = ys.data[pairs.kept_indices].argmax(axis=1)
-    top_sd = forward_np(p, pairs.x_sd.data).argmax(axis=1)
-    top_td = forward_np(p, pairs.x_td.data).argmax(axis=1)
-    return float(np.mean(top_sd == src_label)), float(np.mean(top_td == src_label))

@@ -229,6 +229,14 @@ def softmax_np(z: np.ndarray) -> np.ndarray:
     return e
 
 
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """float64 one-hot rows of 1-D integer labels: the label rows
+    `cross_entropy` takes."""
+    out = np.zeros((labels.size, n_classes), dtype=np.float64)
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
 def _check_label_rows(t: np.ndarray) -> None:
     # each comparison is written so that nan fails it; the .all() methods,
     # not np.all, which adds a Python-level dispatch of several

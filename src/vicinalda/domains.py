@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import ContractError, Tensor
+from .diffcore import ContractError, Tensor, one_hot
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,21 @@ class DomainBatch:
         return self.xs.shape[0]
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, n_classes), dtype=np.float64)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+def _pair_dataset(source: np.ndarray, target: np.ndarray, labels: np.ndarray,
+                  perm: np.ndarray, n_classes: int, generator_id: str, seed: int
+                  ) -> DomainPairDataset:
+    """Both domains' rows in the order `perm`; the target shares the source labels."""
+    y = one_hot(labels, n_classes)
+    return DomainPairDataset(
+        source_x=Tensor(source[perm]),
+        source_y=Tensor(y[perm]),
+        target_x=Tensor(target[perm]),
+        target_y_eval=Tensor(y[perm]),
+        n_classes=n_classes,
+        input_dim=source.shape[1],
+        generator_id=generator_id,
+        seed=seed,
+    )
 
 
 def _balanced_counts(n: int, k: int) -> list[int]:
@@ -115,17 +126,8 @@ def make_two_moons_pair(
     source_c /= scale
     target_c /= scale
 
-    y = _one_hot(labels, 2)
-    return DomainPairDataset(
-        source_x=Tensor(source_c[perm]),
-        source_y=Tensor(y[perm]),
-        target_x=Tensor(target_c[perm]),
-        target_y_eval=Tensor(y[perm]),
-        n_classes=2,
-        input_dim=2,
-        generator_id=f"two_moons(rot={rotation_deg:g},noise={noise_std:g})",
-        seed=seed,
-    )
+    return _pair_dataset(source_c, target_c, labels, perm, 2,
+                         f"two_moons(rot={rotation_deg:g},noise={noise_std:g})", seed)
 
 
 def make_blobs_pair(
@@ -172,17 +174,8 @@ def make_blobs_pair(
     source_c = (source_raw - mean) / scale
     target_c = (target_raw - mean) / scale
 
-    y = _one_hot(labels, n_classes)
-    return DomainPairDataset(
-        source_x=Tensor(source_c[perm]),
-        source_y=Tensor(y[perm]),
-        target_x=Tensor(target_c[perm]),
-        target_y_eval=Tensor(y[perm]),
-        n_classes=n_classes,
-        input_dim=d,
-        generator_id=f"blobs(k={n_classes},d={d},shift={shift:g})",
-        seed=seed,
-    )
+    return _pair_dataset(source_c, target_c, labels, perm, n_classes,
+                         f"blobs(k={n_classes},d={d},shift={shift:g})", seed)
 
 
 class _IndexStream:

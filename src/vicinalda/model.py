@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import ContractError, ShapeError, Tensor, affine_np, relu_np, tape_node
+from .diffcore import ContractError, ShapeError, Tensor, affine_np, one_hot, relu_np, tape_node
 
 CHECKPOINT_MAGIC = b"VDACKPT1"
 CHECKPOINT_VERSION = 1
@@ -389,10 +389,7 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
 
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:
     """Row-wise argmax as one-hot; ties resolve to the lowest class index."""
-    idx = np.argmax(logits, axis=1)
-    out = np.zeros((logits.shape[0], n_classes), dtype=np.float64)
-    out[np.arange(logits.shape[0]), idx] = 1.0
-    return out
+    return one_hot(np.argmax(logits, axis=1), n_classes)
 
 
 def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
@@ -483,8 +480,3 @@ def load_checkpoint(path: str) -> ModelParams:
         arrays.append(a.reshape(shape).copy())
         offset += a.nbytes
     return _params_from(dims, seed, arrays)
-
-
-def copy_params(p: ModelParams) -> ModelParams:
-    """Deep copy of all parameter tensors (fresh, untracked buffers)."""
-    return _params_from(p.dims(), p.seed, [t.data.copy() for _, t in p.named_params()])

@@ -258,6 +258,20 @@ def make_dataset(cfg: TrainConfig, data_seed: int) -> DomainPairDataset:
     )
 
 
+def model_dims(cfg: TrainConfig, ds: DomainPairDataset) -> dict[str, int]:
+    """The model dimensions of a run: input and class counts from its
+    dataset, layer widths from its config."""
+    return dict(d=ds.input_dim, n_classes=ds.n_classes, feat_dim=cfg.feat_dim,
+                hidden=cfg.hidden, hidden_g=cfg.hidden_g)
+
+
+def start_run(cfg: TrainConfig) -> tuple[DerivedSeeds, DomainPairDataset, ModelParams]:
+    """The derived seeds, the dataset and the initial model of a run."""
+    seeds = derive_seeds(cfg.seed)
+    ds = make_dataset(cfg, seeds.data)
+    return seeds, ds, init_model(**model_dims(cfg, ds), seed=seeds.model)
+
+
 def evaluate(p: ModelParams, ds: DomainPairDataset) -> tuple[float, float]:
     """Argmax accuracy on both splits; target uses the eval-only labels."""
     src_pred = forward_np(p, ds.source_x.data).argmax(axis=1)
@@ -491,16 +505,7 @@ def train(cfg: TrainConfig) -> tuple[ModelParams, str]:
     metrics_fh = open(metrics_path, "w", encoding="utf-8", newline="\n")
     try:
         metrics_fh.write(METRICS_HEADER + "\n")
-        seeds = derive_seeds(cfg.seed)
-        ds = make_dataset(cfg, seeds.data)
-        p = init_model(
-            d=ds.input_dim,
-            n_classes=ds.n_classes,
-            feat_dim=cfg.feat_dim,
-            hidden=cfg.hidden,
-            hidden_g=cfg.hidden_g,
-            seed=seeds.model,
-        )
+        seeds, ds, p = start_run(cfg)
         warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
         # a diverged warm-up aborts before it can leave a checkpoint behind
         _check_params_finite(0, cfg, p, after="warm-up")

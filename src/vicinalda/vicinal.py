@@ -72,8 +72,7 @@ def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
 
 def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     """Soft labels (1 - lam) * ys + lam * yt_hat; constant, no gradient."""
-    lam_col = lam.values[:, None]
-    return Tensor((1.0 - lam_col) * ys.data + lam_col * yt_hat.data)
+    return Tensor(mix_np(ys.data, yt_hat.data, lam.values[:, None]))
 
 
 def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Taped ops that only the tests need, built on `diffcore.tape_node`, and
-plain-array reference forwards.
+"""Taped ops that only the tests need, built on `diffcore.tape_node`,
+plain-array reference forwards, and the parameter copy and dominance
+counts the acceptance criteria read.
 
 The package tapes each network as one fused node (`model.logits_of`,
 `model.emp_forward`). The tests hold those nodes to the unfused chain
@@ -13,7 +14,7 @@ import numpy as np
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import Tensor
-from vicinalda.model import FORWARD_BLOCK_ROWS, RATIO_GRID
+from vicinalda.model import FORWARD_BLOCK_ROWS, RATIO_GRID, ModelParams, forward_np
 from vicinalda.vicinal import mix_np
 
 
@@ -118,3 +119,20 @@ def plain_softmax(z):
 def plain_entropy_rows(z):
     p = plain_softmax(z)
     return -(p * np.log(np.maximum(p, dc.LOG_EPS))).sum(axis=1)
+
+
+def copy_params(p: ModelParams) -> ModelParams:
+    """Deep copy of all parameter tensors (fresh, untracked buffers)."""
+    tensors = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in p.named_params()}
+    return ModelParams(**tensors, **p.dims(), seed=p.seed)
+
+
+def dominance_fractions(p, pairs, ys) -> tuple[float, float]:
+    """Fraction of kept pairs whose view top-1 equals the source label,
+    for the source-dominant and target-dominant views respectively."""
+    if pairs.n_kept == 0:
+        return 0.0, 0.0
+    src_label = ys.data[pairs.kept_indices].argmax(axis=1)
+    top_sd = forward_np(p, pairs.x_sd.data).argmax(axis=1)
+    top_td = forward_np(p, pairs.x_td.data).argmax(axis=1)
+    return float(np.mean(top_sd == src_label)), float(np.mean(top_td == src_label))

@@ -21,13 +21,11 @@ from vicinalda.contrastive import (
     build_contrastive_pairs,
     confidence_mask,
     contrastive_loss,
-    dominance_fractions,
     target_top1_probs,
 )
 from vicinalda.domains import DomainBatch, DomainBatcher, make_two_moons_pair
 from vicinalda.diagnostics import empirical_emp, lambda_sweep
 from vicinalda.model import (
-    copy_params,
     init_model,
     load_checkpoint,
     logits_of,
@@ -52,6 +50,7 @@ from vicinalda.vicinal import (
     ratios,
 )
 
+from tape_oracle import copy_params, dominance_fractions
 from test_diffcore import (
     assert_grads_close,
     finite_difference_grads,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vicinalda.model import init_model, save_checkpoint
-from vicinalda.trainer import METRICS_HEADER
+from vicinalda.trainer import METRICS_HEADER, derive_seeds
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TINY = [
@@ -216,23 +216,27 @@ class TestParserReuse:
 
     @pytest.fixture()
     def fresh_out(self, tmp_path):
+        """A directory holding an untrained final checkpoint of the run at a seed."""
         from vicinalda.trainer import derive_seeds
 
-        out = str(tmp_path / "fresh")
-        os.makedirs(out)
-        p = init_model(d=2, n_classes=2, seed=derive_seeds(0).model)
-        save_checkpoint(p, os.path.join(out, "checkpoint_final.ckpt"))
-        return out
+        def make(seed):
+            out = str(tmp_path / f"fresh{seed}")
+            os.makedirs(out)
+            p = init_model(d=2, n_classes=2, seed=derive_seeds(seed).model)
+            save_checkpoint(p, os.path.join(out, "checkpoint_final.ckpt"))
+            return out
+
+        return make
 
     def test_flags_do_not_carry_over(self, fresh_out, capsys):
         from vicinalda.cli import main
 
-        code = main(["eval", "--out", fresh_out, "--seed", "3",
+        code = main(["eval", "--out", fresh_out(3), "--seed", "3",
                      "--set", "rotation_deg=80", "--set", "n_per_domain=160"])
         first = capsys.readouterr().out
         assert code == 0
         assert "seed = 3" in first and "rotation_deg = 80.0" in first
-        assert main(["eval", "--out", fresh_out]) == 0
+        assert main(["eval", "--out", fresh_out(0)]) == 0
         second = capsys.readouterr().out
         assert "seed = 0" in second
         assert "rotation_deg = 40.0" in second
@@ -241,13 +245,78 @@ class TestParserReuse:
     def test_good_call_after_usage_error_and_help(self, fresh_out, capsys):
         from vicinalda.cli import main
 
-        assert main(["eval", "--out", fresh_out, "--frobnicate"]) == 2
+        run_dir = fresh_out(5)
+        assert main(["eval", "--out", run_dir, "--frobnicate"]) == 2
         assert "--frobnicate" in capsys.readouterr().err
         assert main(["eval", "--help"]) == 0
         assert "--seed" in capsys.readouterr().out
-        assert main(["eval", "--out", fresh_out, "--seed", "5", *TINY]) == 0
+        assert main(["eval", "--out", run_dir, "--seed", "5", *TINY]) == 0
         out = capsys.readouterr().out
         assert "seed = 5" in out and "target_acc=" in out
+
+
+# Runs whose read verbs need flags: a seed and a layer width other than the
+# defaults. The lines each read verb prints after its config echo, given the
+# flags `train` was given, were recorded before the verbs checked the
+# checkpoint header; <out> stands for the run directory.
+OTHER_RUNS = {"seed3": ["--seed", "3", *TINY], "hidden16": ["--set", "hidden=16", *TINY]}
+REFUSAL = {
+    "seed3": f"model seed {derive_seeds(3).model} (checkpoint) vs {derive_seeds(0).model} (config)",
+    "hidden16": "hidden 16 (checkpoint) vs 64 (config)",
+}
+MATCHED_OUTPUT = {
+    "seed3": {
+        "eval": "source_acc=0.7250 target_acc=0.8375\n",
+        "sweep": "sweep: <out>/sweep.csv\nentropy_peak_lambda=0.6 dominance_flip_lambda=0.6\n",
+        "equilibrium": "report: <out>/equilibrium_summary.txt\n"
+                       "checkpoint,entropy_peak_lambda,dominance_flip_lambda\n"
+                       "before,0.7,0.7\nafter,0.6,0.6\n",
+    },
+    "hidden16": {
+        "eval": "source_acc=0.7250 target_acc=0.7750\n",
+        "sweep": "sweep: <out>/sweep.csv\nentropy_peak_lambda=0.6 dominance_flip_lambda=0.6\n",
+        "equilibrium": "report: <out>/equilibrium_summary.txt\n"
+                       "checkpoint,entropy_peak_lambda,dominance_flip_lambda\n"
+                       "before,0.7,0.6\nafter,0.6,0.6\n",
+    },
+}
+
+
+class TestReadVerbsCheckTheRun:
+    """eval, sweep and equilibrium score the run their flags resolve to. A
+    checkpoint whose header seed or dims belong to another run exits 2
+    before the verb writes anything."""
+
+    @pytest.fixture(scope="class", params=sorted(OTHER_RUNS))
+    def trained(self, request, tmp_path_factory):
+        from vicinalda.cli import main
+
+        run = request.param
+        out = str(tmp_path_factory.mktemp("runs") / run)
+        assert main(["train", "--out", out, *OTHER_RUNS[run]]) == 0
+        return run, out
+
+    def test_flagless_read_verbs_exit_2_and_write_nothing(self, trained, capsys):
+        from vicinalda.cli import main
+
+        run, out = trained
+        for verb in ("eval", "sweep", "equilibrium"):
+            files = sorted(os.listdir(out))
+            assert main([verb, "--out", out]) == 2
+            assert sorted(os.listdir(out)) == files
+            err = capsys.readouterr().err
+            assert REFUSAL[run] in err and "Traceback" not in err
+
+    def test_matching_flags_print_what_they_printed_before_the_check(self, trained, capsys):
+        from vicinalda.cli import main
+
+        run, out = trained
+        for verb in ("eval", "sweep", "equilibrium"):
+            capsys.readouterr()
+            assert main([verb, "--out", out, *OTHER_RUNS[run]]) == 0
+            printed = capsys.readouterr().out
+            after_echo = printed[printed.index("\n", printed.index("out_dir = ")) + 1:]
+            assert after_echo.replace(out, "<out>") == MATCHED_OUTPUT[run][verb]
 
 
 # sha256 of the read verbs' files on two seed-0 runs: the default config and

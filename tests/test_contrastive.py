@@ -9,7 +9,6 @@ from vicinalda.contrastive import (
     build_contrastive_pairs,
     confidence_mask,
     contrastive_loss,
-    dominance_fractions,
     swap_agreement,
     target_top1_probs,
     top2_of,
@@ -17,6 +16,8 @@ from vicinalda.contrastive import (
 from vicinalda.domains import DomainBatch
 from vicinalda.model import init_model, logits_of, one_hot_argmax, pseudo_labels
 from vicinalda.vicinal import ratios
+
+from tape_oracle import dominance_fractions
 
 
 def random_batch(rng, m=8, d=3, n=3):

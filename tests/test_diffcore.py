@@ -22,6 +22,7 @@ from vicinalda.diffcore import backward_grads as run_backward
 from vicinalda.model import init_model, logits_of
 
 from tape_oracle import relu, select_relu, tmean, tsum
+from test_surface import SRC, parse
 
 
 def assert_grads_close(analytic, numeric):
@@ -386,63 +387,6 @@ class TestSGD:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError, match="learning rate"):
             SGD([p], lr=math.nan)
-
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO, "src", "vicinalda")
-
-
-def parse(path):
-    with open(path, encoding="utf-8") as fh:
-        return ast.parse(fh.read(), filename=path)
-
-
-def diffcore_names_used_by(tree):
-    """Names a module takes from diffcore: `from .diffcore import name`
-    and `dc.name` where `from . import diffcore as dc`."""
-    aliases, names = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "diffcore":
-                names.update(a.name for a in node.names)
-            elif node.module is None:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "diffcore")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            names.add(node.attr)
-    return names
-
-
-def tracer_diffcore_targets():
-    tree = parse(os.path.join(REPO, "bench", "tracer.py"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
-            # (module, attribute, kind, span name) tuples; the span names
-            # are not all literals, the first two fields are
-            pairs = [ast.literal_eval(ast.Tuple(t.elts[:2], ast.Load())) for t in node.value.elts]
-            return {attr for module, attr in pairs if module == "vicinalda.diffcore"}
-    raise AssertionError("bench/tracer.py defines no TARGETS list")
-
-
-class TestPublicSurface:
-    def test_every_public_function_has_a_caller_outside_the_tests(self):
-        # a public diffcore function is referenced from another package
-        # module, called by a Tensor operator method, or timed by the tracer
-        tree = parse(os.path.join(SRC, "diffcore.py"))
-        public = {n.name for n in tree.body
-                  if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
-        tensor = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor")
-        used = {call.func.id
-                for method in tensor.body
-                if isinstance(method, ast.FunctionDef) and method.name.startswith("__")
-                for call in ast.walk(method)
-                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
-        for name in sorted(os.listdir(SRC)):
-            if name.endswith(".py") and name != "diffcore.py":
-                used |= diffcore_names_used_by(parse(os.path.join(SRC, name)))
-        used |= tracer_diffcore_targets()
-        assert sorted(public - used) == []
 
 
 def identifiers(tree):

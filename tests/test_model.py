@@ -16,7 +16,6 @@ from vicinalda.model import (
     FORWARD_BLOCK_ROWS,
     RATIO_GRID,
     classify_np,
-    copy_params,
     emp_forward,
     emp_forward_np,
     encode_np,
@@ -29,7 +28,13 @@ from vicinalda.model import (
     save_checkpoint,
 )
 
-from tape_oracle import tmean, unfused_emp_forward, unfused_features, unfused_logits_of
+from tape_oracle import (
+    copy_params,
+    tmean,
+    unfused_emp_forward,
+    unfused_features,
+    unfused_logits_of,
+)
 from test_diffcore import (
     assert_grads_close,
     assert_same_bits,

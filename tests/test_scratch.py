@@ -13,7 +13,6 @@ from vicinalda import model
 from vicinalda.diffcore import SGD, ContractError, Tensor, backward
 from vicinalda.domains import DomainBatcher
 from vicinalda.model import (
-    copy_params,
     emp_forward,
     emp_forward_np,
     encode_np,
@@ -24,6 +23,7 @@ from vicinalda.model import (
 from vicinalda.trainer import TrainConfig, covi_step, derive_seeds, make_dataset, warmup
 
 from tape_oracle import (
+    copy_params,
     plain_emp_forward,
     plain_encode,
     plain_entropy_rows,

@@ -20,7 +20,6 @@ from vicinalda.contrastive import (
 from vicinalda.domains import DomainBatcher
 from vicinalda.model import (
     RATIO_GRID,
-    copy_params,
     init_model,
     load_checkpoint,
     logits_of,
@@ -45,6 +44,7 @@ from vicinalda.trainer import (
 )
 from vicinalda.vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix, ratios
 
+from tape_oracle import copy_params
 from test_model import params_checksum
 
 
