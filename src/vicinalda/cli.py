@@ -16,9 +16,9 @@ import time
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import SGD, ContractError, Tensor, backward
-from .contrastive import confidence_mask
-from .domains import DomainBatch, DomainBatcher, DomainPairDataset
+from .diffcore import ContractError, Tensor
+from .contrastive import mask_oracle_mismatches
+from .domains import DomainBatch, DomainPairDataset
 from .diagnostics import (
     empirical_emp,
     equilibrium_report,
@@ -27,7 +27,7 @@ from .diagnostics import (
     sweep_samples,
     write_sweep_csv,
 )
-from .model import RATIO_GRID, ModelParams, init_model, load_checkpoint, logits_of
+from .model import ModelParams, init_model, load_checkpoint
 from .trainer import (
     TrainConfig,
     build_config,
@@ -38,6 +38,7 @@ from .trainer import (
     model_dims,
     start_run,
     train,
+    train_ratio_learner,
     warmup,
 )
 from .vicinal import (
@@ -45,8 +46,9 @@ from .vicinal import (
     emp_argmax,
     emp_learner_loss,
     emp_mixup_loss,
-    mix,
-    mix_np,
+    maximality_violations,
+    mix_identities_hold,
+    ratio_agreement,
     ratios,
 )
 
@@ -206,62 +208,21 @@ def _check_brute_force_maximality(rng) -> bool:
     batch = DomainBatch(
         xs=Tensor(rng.normal(size=(m, 2))), ys=Tensor(ys), xt=Tensor(rng.normal(size=(m, 2)))
     )
-    lam = brute_force_emp(p, batch)
-    # recomputed ratio by ratio, not the stacked table brute_force_emp reads
-    xs, xt = batch.xs.data, batch.xt.data
-    table = np.stack(
-        [dc.entropy_rows_np(logits_of(p, Tensor(mix_np(xs, xt, g))).data) for g in RATIO_GRID],
-        axis=1,
-    )
-    chosen = table[np.arange(m), (lam.values * 10).round().astype(int)]
-    return bool(np.all(chosen[:, None] >= table - 1e-15))
-
-
-def _check_mask_equivalence(rng) -> bool:
-    for _ in range(200):
-        m = int(rng.integers(2, 40))
-        probs = rng.uniform(0, 1, m)
-        alpha = float(rng.uniform(-1, 3))
-        mean = probs.sum() / m
-        std = np.sqrt(((probs - mean) ** 2).sum() / (m - 1))
-        if not np.array_equal(confidence_mask(probs, alpha), probs >= mean - alpha * std):
-            return False
-    return True
+    return maximality_violations(p, batch) == 0
 
 
 def _check_mix_identities(rng) -> bool:
-    xs = Tensor(rng.normal(size=(5, 3)))
-    xt = Tensor(rng.normal(size=(5, 3)))
-    if not np.array_equal(mix(xs, xt, ratios(np.zeros(5))).data, xs.data):
-        return False
-    if not np.array_equal(mix(xs, xt, ratios(np.ones(5))).data, xt.data):
-        return False
-    mid = mix(Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]]), ratios([0.5]))
-    return bool(np.array_equal(mid.data, [[1.0, 1.0]]))
+    return mix_identities_hold(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(5, 3))))
 
 
-def _check_emp_agreement(seed: int) -> bool:
-    """Compact run of the learned-vs-exhaustive ratio agreement protocol."""
-    cfg = TrainConfig(seed=seed)
+def _check_emp_agreement(cfg: TrainConfig) -> bool:
+    """Learned-vs-exhaustive ratio agreement, acceptance criterion 2's
+    protocol, on the run `cfg` resolves to."""
     seeds, ds, p = start_run(cfg)
     warmup(p, ds, cfg, np.random.default_rng(seeds.warmup_batches))
-    opt_phi = SGD(p.phi_params(), lr=cfg.phi_lr, momentum=cfg.momentum)
-    batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
-    total = 2000
-    for step in range(total):
-        if step == int(total * 0.75):
-            opt_phi.lr = 0.01
-        backward(dc.neg(emp_learner_loss(p, batcher.next_batch())))
-        opt_phi.step()
-    held = DomainBatch(
-        xs=Tensor(ds.source_x.data[:256]),
-        ys=Tensor(ds.source_y.data[:256]),
-        xt=Tensor(ds.target_x.data[:256]),
-    )
-    learned = emp_argmax(p, held).values
-    oracle = brute_force_emp(p, held).values
-    exact = float((np.abs(learned - oracle) < 1e-9).mean())
-    within_one = float((np.abs(learned - oracle) < 0.1 + 1e-9).mean())
+    train_ratio_learner(p, ds, cfg, np.random.default_rng(seeds.covi_batches))
+    held = ds.head(256)
+    exact, within_one = ratio_agreement(emp_argmax(p, held).values, brute_force_emp(p, held).values)
     print(f"  emp agreement: exact={exact:.3f} within_one={within_one:.3f}")
     return exact >= 0.7 and within_one >= 0.95
 
@@ -272,9 +233,9 @@ def _cmd_selftest(cfg: TrainConfig) -> int:
         ("finite-difference gradients", lambda: _check_gradients(rng)),
         ("softmax and entropy bounds", lambda: _check_softmax_and_entropy(rng)),
         ("brute-force ratio maximality", lambda: _check_brute_force_maximality(rng)),
-        ("confidence-mask equivalence", lambda: _check_mask_equivalence(rng)),
+        ("confidence-mask equivalence", lambda: mask_oracle_mismatches(rng) == 0),
         ("mix endpoint identities", lambda: _check_mix_identities(rng)),
-        ("learned-vs-exhaustive ratio agreement", lambda: _check_emp_agreement(cfg.seed)),
+        ("learned-vs-exhaustive ratio agreement", lambda: _check_emp_agreement(cfg)),
     ]
     failures = 0
     for name, check in checks:

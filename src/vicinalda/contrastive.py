@@ -41,6 +41,23 @@ def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
     return probs >= threshold
 
 
+def mask_oracle_mismatches(rng: np.random.Generator) -> int:
+    """How many of 1000 random draws `confidence_mask` gets wrong against
+    probs >= mean - alpha * std, the mean and sample std (n-1) written out
+    as sums. A draw takes a size in [2, 50), that many probabilities in
+    [0, 1), then alpha in [-1, 3)."""
+    mismatches = 0
+    for _ in range(1000):
+        m = int(rng.integers(2, 50))
+        probs = rng.uniform(0.0, 1.0, m)
+        alpha = float(rng.uniform(-1.0, 3.0))
+        mean = probs.sum() / m
+        std = np.sqrt(((probs - mean) ** 2).sum() / (m - 1))
+        if not np.array_equal(confidence_mask(probs, alpha), probs >= mean - alpha * std):
+            mismatches += 1
+    return mismatches
+
+
 def top1_probs(logits: np.ndarray) -> np.ndarray:
     """Top-1 softmax probability of each row of logits. Non-finite logits,
     which a model that overflowed gives, raise FloatingPointError."""

@@ -9,6 +9,8 @@ where dominance flips. Target eval labels are used here and only here.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import operator
 import os
 from dataclasses import dataclass
 
@@ -20,7 +22,6 @@ from .domains import DomainPairDataset
 from .model import RATIO_GRID, ModelParams, atomic_open, grid_logits
 
 DEFAULT_SWEEP_SAMPLES = 256
-SWEEP_HEADER = ["lambda", "mean_entropy", "source_dom", "target_dom"]
 
 
 def sweep_samples(ds: DomainPairDataset) -> int:
@@ -42,6 +43,13 @@ class SweepRow:
     mean_entropy: float
     source_dom: float
     target_dom: float
+
+
+# one column per SweepRow field, in field order; `lambda` is a keyword,
+# so the lam field's column keeps that name in the header only
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+SWEEP_HEADER = tuple("lambda" if name == "lam" else name for name in _SWEEP_FIELDS)
+_sweep_values = operator.attrgetter(*_SWEEP_FIELDS)
 
 
 def lambda_sweep(
@@ -115,9 +123,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
         for r in rows:
-            writer.writerow(
-                [f"{r.lam:.6f}", f"{r.mean_entropy:.6f}", f"{r.source_dom:.6f}", f"{r.target_dom:.6f}"]
-            )
+            writer.writerow([f"{v:.6f}" for v in _sweep_values(r)])
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ class DomainPairDataset:
     def n_target(self) -> int:
         return self.target_x.shape[0]
 
+    def head(self, n: int) -> DomainBatch:
+        """Source rows 0..n-1 with their labels beside target rows 0..n-1."""
+        return DomainBatch(xs=Tensor(self.source_x.data[:n]), ys=Tensor(self.source_y.data[:n]),
+                           xt=Tensor(self.target_x.data[:n]))
+
 
 @dataclass(frozen=True)
 class DomainBatch:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,10 +48,6 @@ from .model import (
     save_checkpoint,
 )
 from .vicinal import emp_argmax_of, emp_learner_loss, emp_mixup_loss, mix_np
-
-METRICS_HEADER = (
-    "step,r_emp,r_ct,r_cs,source_acc,target_acc,mean_lambda_star,ct_keep,cs_keep,agreement"
-)
 
 
 @dataclass
@@ -226,11 +223,13 @@ class MetricsRow:
     agreement: float
 
     def csv_line(self) -> str:
-        vals = [
-            self.r_emp, self.r_ct, self.r_cs, self.source_acc, self.target_acc,
-            self.mean_lambda_star, self.ct_keep, self.cs_keep, self.agreement,
-        ]
-        return f"{self.step}," + ",".join(f"{v:.6f}" for v in vals)
+        return f"{self.step}," + ",".join(f"{v:.6f}" for v in _metric_values(self))
+
+
+# one column per MetricsRow field, in field order; step leads
+_METRICS_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsRow))
+METRICS_HEADER = ",".join(_METRICS_FIELDS)
+_metric_values = operator.attrgetter(*_METRICS_FIELDS[1:])
 
 
 @dataclass(frozen=True)
@@ -305,6 +304,22 @@ def warmup(
             batch = batcher.next_batch()
             backward(dc.cross_entropy(logits_of(p, batch.xs), batch.ys))
             opt.step()
+    return p
+
+
+def train_ratio_learner(
+    p: ModelParams, ds: DomainPairDataset, cfg: TrainConfig, rng: np.random.Generator
+) -> ModelParams:
+    """The ratio-agreement protocol's phi-only schedule: 2000 ascent steps
+    on cfg.batch_size batches drawn from `rng`, at cfg.phi_lr and
+    cfg.momentum, the lr dropping to 0.01 for the last quarter."""
+    opt_phi = SGD(p.phi_params(), lr=cfg.phi_lr, momentum=cfg.momentum)
+    batcher = DomainBatcher(ds, cfg.batch_size, rng)
+    for step in range(2000):
+        if step == 1500:
+            opt_phi.lr = 0.01
+        backward(dc.neg(emp_learner_loss(p, batcher.next_batch())))
+        opt_phi.step()
     return p
 
 

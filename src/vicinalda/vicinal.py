@@ -70,6 +70,16 @@ def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
     return Tensor(mix_np(xs.data, xt.data, lam.values[:, None]))
 
 
+def mix_identities_hold(xs: Tensor, xt: Tensor) -> bool:
+    """`mix` gives xs at ratio 0 and xt at ratio 1 bit for bit, and the
+    midpoint of (2, 0) and (0, 2) is exactly (1, 1)."""
+    n = xs.shape[0]
+    mid = mix(Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]]), ratios([0.5]))
+    return (np.array_equal(mix(xs, xt, ratios(np.zeros(n))).data, xs.data)
+            and np.array_equal(mix(xs, xt, ratios(np.ones(n))).data, xt.data)
+            and np.array_equal(mid.data, [[1.0, 1.0]]))
+
+
 def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
     """Soft labels (1 - lam) * ys + lam * yt_hat; constant, no gradient."""
     return Tensor(mix_np(ys.data, yt_hat.data, lam.values[:, None]))
@@ -97,6 +107,26 @@ def brute_force_emp(p: ModelParams, batch: DomainBatch) -> RatioVector:
     lower ratio. The oracle the learned ratio head is judged against."""
     table = grid_entropy_table(p, batch)
     return ratios(RATIO_GRID[np.argmax(table, axis=1)])
+
+
+def maximality_violations(p: ModelParams, batch: DomainBatch) -> int:
+    """Pairs whose `brute_force_emp` ratio some grid ratio beats strictly,
+    on a table recomputed with one taped `logits_of` per grid ratio."""
+    lam = brute_force_emp(p, batch)
+    xs, xt = batch.xs.data, batch.xt.data
+    table = np.stack(
+        [dc.entropy_rows_np(logits_of(p, Tensor(mix_np(xs, xt, g))).data) for g in RATIO_GRID],
+        axis=1,
+    )
+    chosen = table[np.arange(batch.m), (lam.values * 10).round().astype(int)]
+    return int(np.sum(np.any(chosen[:, None] < table, axis=1)))
+
+
+def ratio_agreement(learned: np.ndarray, oracle: np.ndarray) -> tuple[float, float]:
+    """Fractions of pairs whose learned grid ratio equals the oracle's
+    (exact) and lies within one grid step of it (within_one)."""
+    gap = np.abs(learned - oracle)
+    return float((gap < 1e-9).mean()), float((gap < 0.1 + 1e-9).mean())
 
 
 def emp_argmax_of(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> RatioVector:

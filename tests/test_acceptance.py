@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from vicinalda import diffcore as dc
-from vicinalda.diffcore import SGD, Tensor, backward
+from vicinalda.diffcore import Tensor, backward
 from vicinalda.consensus import consensus_loss, make_views
 from vicinalda.contrastive import (
     build_contrastive_pairs,
     confidence_mask,
     contrastive_loss,
+    mask_oracle_mismatches,
     target_top1_probs,
 )
-from vicinalda.domains import DomainBatch, DomainBatcher, make_two_moons_pair
+from vicinalda.domains import DomainBatch, make_two_moons_pair
 from vicinalda.diagnostics import empirical_emp, lambda_sweep
 from vicinalda.model import (
     init_model,
@@ -38,6 +39,7 @@ from vicinalda.trainer import (
     evaluate,
     make_dataset,
     train,
+    train_ratio_learner,
     warmup,
 )
 from vicinalda.vicinal import (
@@ -45,8 +47,9 @@ from vicinalda.vicinal import (
     emp_argmax,
     emp_learner_loss,
     emp_mixup_loss,
-    grid_entropy_table,
-    mix,
+    maximality_violations,
+    mix_identities_hold,
+    ratio_agreement,
     ratios,
 )
 
@@ -265,27 +268,10 @@ def test_criterion_2_emp_oracle_agreement():
     p = init_model(d=2, n_classes=2, seed=1)
     cfg = TrainConfig(seed=0)
     warmup(p, ds, cfg, np.random.default_rng(2))
+    train_ratio_learner(p, ds, cfg, np.random.default_rng(3))  # lr 0.05, batch 64
 
-    opt_phi = SGD(p.phi_params(), lr=0.05, momentum=0.9)
-    batcher = DomainBatcher(ds, 64, np.random.default_rng(3))
-    total = 2000
-    for step in range(total):
-        if step == int(total * 0.75):
-            opt_phi.lr = 0.01
-        backward(dc.neg(emp_learner_loss(p, batcher.next_batch())))
-        opt_phi.step()
-        for t in p.theta_params():
-            t.zero_grad()
-
-    held = DomainBatch(
-        xs=Tensor(ds.source_x.data[:256]),
-        ys=Tensor(ds.source_y.data[:256]),
-        xt=Tensor(ds.target_x.data[:256]),
-    )
-    learned = emp_argmax(p, held).values
-    oracle = brute_force_emp(p, held).values
-    exact = float((np.abs(learned - oracle) < 1e-9).mean())
-    within_one = float((np.abs(learned - oracle) < 0.1 + 1e-9).mean())
+    held = ds.head(256)
+    exact, within_one = ratio_agreement(emp_argmax(p, held).values, brute_force_emp(p, held).values)
     report(
         "criterion 2 (EMP oracle agreement)",
         exact >= 0.70 and within_one >= 0.95,
@@ -306,16 +292,7 @@ def test_criterion_3_brute_force_maximality():
         if seed == 0:  # include a source-trained model, not just fresh inits
             ds = make_two_moons_pair(400, 40.0, 0.05, seed=5)
             warmup(p, ds, TrainConfig(warmup_epochs=10, n_per_domain=400), np.random.default_rng(6))
-        batch = random_batch(rng, m=64, d=2, n=2)
-        lam = brute_force_emp(p, batch)
-        # independent recomputation of the full entropy table
-        table = np.empty((64, 11))
-        for k in range(11):
-            g = k / 10.0
-            z = logits_of(p, Tensor((1 - g) * batch.xs.data + g * batch.xt.data)).data
-            table[:, k] = dc.entropy_rows_np(z)
-        chosen = table[np.arange(64), (lam.values * 10).round().astype(int)]
-        violations += int(np.sum(np.any(chosen[:, None] < table, axis=1)))
+        violations += maximality_violations(p, random_batch(rng, m=64, d=2, n=2))
         pairs_checked += 64
     report(
         "criterion 3 (brute-force maximality)",
@@ -368,23 +345,11 @@ def test_criterion_6_contrastive_identities(default_runs):
     """Mix identities bit-exact, labels sum to 1 exactly, dominance flips."""
     t0 = time.time()
     rng = np.random.default_rng(3)
-    xs = Tensor(rng.normal(size=(64, 2)))
-    xt = Tensor(rng.normal(size=(64, 2)))
-    ok_mix = (
-        np.array_equal(mix(xs, xt, ratios(np.zeros(64))).data, xs.data)
-        and np.array_equal(mix(xs, xt, ratios(np.ones(64))).data, xt.data)
-        and np.array_equal(
-            mix(Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]]), ratios([0.5])).data, [[1.0, 1.0]]
-        )
-    )
+    ok_mix = mix_identities_hold(Tensor(rng.normal(size=(64, 2))), Tensor(rng.normal(size=(64, 2))))
 
     run = default_runs["runs"][0]
     warm, ds = run["warm"], run["ds"]
-    batch = DomainBatch(
-        xs=Tensor(ds.source_x.data[:256]),
-        ys=Tensor(ds.source_y.data[:256]),
-        xt=Tensor(ds.target_x.data[:256]),
-    )
+    batch = ds.head(256)
     lam_star = brute_force_emp(warm, batch)
     mask = confidence_mask(target_top1_probs(warm, batch.xt), 2.0)
     pairs = build_contrastive_pairs(batch, lam_star, 0.1, mask)
@@ -447,17 +412,7 @@ def test_criterion_7_consensus_zero_perturbation():
 def test_criterion_8_mask_equivalence():
     """Mask equals the explicit mean/sample-std filter on 1000 vectors."""
     t0 = time.time()
-    rng = np.random.default_rng(8)
-    mismatches = 0
-    for _ in range(1000):
-        m = int(rng.integers(2, 50))
-        probs = rng.uniform(0.0, 1.0, m)
-        alpha = float(rng.uniform(-1.0, 3.0))
-        mean = probs.sum() / m
-        std = np.sqrt(((probs - mean) ** 2).sum() / (m - 1))
-        expected = probs >= mean - alpha * std
-        if not np.array_equal(confidence_mask(probs, alpha), expected):
-            mismatches += 1
+    mismatches = mask_oracle_mismatches(np.random.default_rng(8))
     report(
         "criterion 8 (mask equivalence)",
         mismatches == 0,

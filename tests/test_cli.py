@@ -180,6 +180,27 @@ class TestSelftestVerb:
         assert "[FAIL]" not in res.stdout
         assert elapsed < 120.0
 
+    def test_agreement_check_runs_the_effective_config(self, monkeypatch):
+        """The agreement check builds two batchers, warm-up's and then the
+        ratio learner's; both draw at the `--set` batch size. The run stops
+        at the second, so the learner never trains."""
+        from vicinalda.cli import main
+        from vicinalda.domains import DomainBatcher
+
+        sizes = []
+        build = DomainBatcher.__init__
+
+        def recording_build(self, ds, m, rng):
+            sizes.append(m)
+            if len(sizes) == 2:
+                raise RuntimeError("stop at the ratio learner's batcher")
+            build(self, ds, m, rng)
+
+        monkeypatch.setattr(DomainBatcher, "__init__", recording_build)
+        code = main(["selftest", "--set", "batch_size=32", "--set", "warmup_epochs=1"])
+        assert code == 1
+        assert sizes == [32, 32]
+
 
 def without_bias_grad(network, bias):
     """`network` (logits_of or emp_forward) with a wrong VJP: the gradient

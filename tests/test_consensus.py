@@ -4,40 +4,30 @@ import numpy as np
 import pytest
 
 from vicinalda import diffcore as dc
-from vicinalda.diffcore import ContractError, Tensor, backward
+from vicinalda.diffcore import ContractError, backward
 from vicinalda.consensus import (
     consensus_keep_mask,
     consensus_labels,
     consensus_loss,
     make_views,
 )
-from vicinalda.domains import DomainBatch
 from vicinalda.model import init_model, logits_of, one_hot_argmax
 
 from test_model import params_checksum
-
-
-def random_batch(rng, m=8, d=3, n=3):
-    ys = np.zeros((m, n))
-    ys[np.arange(m), rng.integers(0, n, m)] = 1.0
-    return DomainBatch(
-        xs=Tensor(rng.normal(size=(m, d))),
-        ys=Tensor(ys),
-        xt=Tensor(rng.normal(size=(m, d))),
-    )
+from test_vicinal import random_batch
 
 
 class TestMakeViews:
     def test_zero_perturbation_views_equal_target(self):
         rng = np.random.default_rng(0)
-        batch = random_batch(rng)
+        batch = random_batch(rng, m=8)
         views = make_views(batch, 0.0, np.random.default_rng(1))
         assert np.array_equal(views.x_v1.data, batch.xt.data)
         assert np.array_equal(views.x_v2.data, batch.xt.data)
 
     def test_identity_shuffle_makes_views_equal(self):
         rng = np.random.default_rng(2)
-        batch = random_batch(rng)
+        batch = random_batch(rng, m=8)
 
         class IdentityRng:
             def permutation(self, n):
@@ -66,7 +56,7 @@ class TestMakeViews:
         assert np.array_equal(v1.shuffle, v2.shuffle)
 
     def test_out_of_range_lam_p_rejected(self):
-        batch = random_batch(np.random.default_rng(6))
+        batch = random_batch(np.random.default_rng(6), m=8)
         for bad in (-0.1, 0.6):
             with pytest.raises(ContractError):
                 make_views(batch, bad, np.random.default_rng(0))

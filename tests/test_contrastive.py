@@ -3,31 +3,22 @@
 import numpy as np
 import pytest
 
-from vicinalda import diffcore as dc
-from vicinalda.diffcore import ContractError, Tensor, backward
+from vicinalda.diffcore import ContractError, backward
+from vicinalda import contrastive
 from vicinalda.contrastive import (
     build_contrastive_pairs,
     confidence_mask,
     contrastive_loss,
+    mask_oracle_mismatches,
     swap_agreement,
     target_top1_probs,
     top2_of,
 )
-from vicinalda.domains import DomainBatch
 from vicinalda.model import init_model, logits_of, one_hot_argmax, pseudo_labels
 from vicinalda.vicinal import ratios
 
 from tape_oracle import dominance_fractions
-
-
-def random_batch(rng, m=8, d=3, n=3):
-    ys = np.zeros((m, n))
-    ys[np.arange(m), rng.integers(0, n, m)] = 1.0
-    return DomainBatch(
-        xs=Tensor(rng.normal(size=(m, d))),
-        ys=Tensor(ys),
-        xt=Tensor(rng.normal(size=(m, d))),
-    )
+from test_vicinal import random_batch
 
 
 class TestConfidenceMask:
@@ -49,16 +40,14 @@ class TestConfidenceMask:
         assert confidence_mask(np.array([0.1]), alpha=2.0).all()
 
     def test_brute_force_equivalence_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            m = int(rng.integers(2, 40))
-            probs = rng.uniform(0, 1, m)
-            alpha = float(rng.uniform(-1, 3))
-            mask = confidence_mask(probs, alpha)
-            mean = probs.sum() / m
-            var = ((probs - mean) ** 2).sum() / (m - 1)
-            expected = probs >= (mean - alpha * np.sqrt(var))
-            assert np.array_equal(mask, expected)
+        assert mask_oracle_mismatches(np.random.default_rng(0)) == 0
+
+    def test_oracle_catches_a_population_std(self, monkeypatch):
+        def population_std_mask(top1_probs, alpha):
+            return top1_probs >= top1_probs.mean() - alpha * top1_probs.std(ddof=0)
+
+        monkeypatch.setattr(contrastive, "confidence_mask", population_std_mask)
+        assert mask_oracle_mismatches(np.random.default_rng(0)) > 0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
