@@ -23,12 +23,10 @@ from .vicinal import mix_np
 
 @dataclass(frozen=True)
 class ConsensusViews:
-    """The two perturbed views plus what is needed to mask and audit them."""
+    """The two perturbed views plus what is needed to mask them."""
 
     x_v1: Tensor
     x_v2: Tensor
-    shuffle: np.ndarray
-    lam_p: float
     xt: Tensor  # unmixed target rows; the confidence mask is computed on these
 
 
@@ -42,8 +40,6 @@ def make_views(batch: DomainBatch, lam_p: float, rng: np.random.Generator) -> Co
     return ConsensusViews(
         x_v1=Tensor(mix_np(xt, xs, lam_p)),
         x_v2=Tensor(mix_np(xt, xs[shuffle], lam_p)),
-        shuffle=shuffle,
-        lam_p=lam_p,
         xt=Tensor(xt),
     )
 
@@ -64,18 +60,14 @@ def consensus_keep_mask(p: ModelParams, views: ConsensusViews, beta: float) -> n
     return confidence_mask(target_top1_probs(p, views.xt), beta)
 
 
-def consensus_loss(
-    p: ModelParams, views: ConsensusViews, beta: float, keep: np.ndarray | None = None
-) -> Tensor:
+def consensus_loss(p: ModelParams, views: ConsensusViews, keep: np.ndarray) -> Tensor:
     """Both views' cross entropy against their shared consensus label,
-    averaged over the mask-kept rows. The label is a constant; an empty
-    kept set contributes a constant zero. `keep` is the mask
-    consensus_keep_mask gives at this theta, when the caller already has it."""
+    averaged over the rows `keep` marks, the mask `consensus_keep_mask`
+    gives at this theta. The label is a constant; an empty kept set
+    contributes a constant zero."""
     z1 = logits_of(p, views.x_v1)
     z2 = logits_of(p, views.x_v2)
     y_hat = consensus_labels(z1.data, z2.data)
-    if keep is None:
-        keep = consensus_keep_mask(p, views, beta)
     kept = np.nonzero(keep)[0]
     if kept.size == 0:
         return Tensor(0.0)

@@ -130,14 +130,10 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
 class EquilibriumReport:
     """Entropy-peak and dominance-flip estimates before and after training."""
 
-    before_rows: list[SweepRow]
-    after_rows: list[SweepRow]
     before_emp: float
     after_emp: float
     before_flip: float | None
     after_flip: float | None
-    csv_before: str
-    csv_after: str
     summary_path: str
 
     def summary(self) -> str:
@@ -164,20 +160,14 @@ def equilibrium_report(
     before_emp, before_flip = empirical_emp(before_rows)
     after_emp, after_flip = empirical_emp(after_rows)
 
-    csv_before = os.path.join(out_dir, "sweep_before.csv")
-    csv_after = os.path.join(out_dir, "sweep_after.csv")
-    write_sweep_csv(before_rows, csv_before)
-    write_sweep_csv(after_rows, csv_after)
+    write_sweep_csv(before_rows, os.path.join(out_dir, "sweep_before.csv"))
+    write_sweep_csv(after_rows, os.path.join(out_dir, "sweep_after.csv"))
 
     report = EquilibriumReport(
-        before_rows=before_rows,
-        after_rows=after_rows,
         before_emp=before_emp,
         after_emp=after_emp,
         before_flip=before_flip,
         after_flip=after_flip,
-        csv_before=csv_before,
-        csv_after=csv_after,
         summary_path=os.path.join(out_dir, "equilibrium_summary.txt"),
     )
     with atomic_open(report.summary_path) as fh:

@@ -28,8 +28,6 @@ class DomainPairDataset:
     target_y_eval: Tensor
     n_classes: int
     input_dim: int
-    generator_id: str
-    seed: int
 
     @property
     def n_source(self) -> int:
@@ -65,8 +63,7 @@ class DomainBatch:
 
 
 def _pair_dataset(source: np.ndarray, target: np.ndarray, labels: np.ndarray,
-                  perm: np.ndarray, n_classes: int, generator_id: str, seed: int
-                  ) -> DomainPairDataset:
+                  perm: np.ndarray, n_classes: int) -> DomainPairDataset:
     """Both domains' rows in the order `perm`; the target shares the source labels."""
     y = one_hot(labels, n_classes)
     return DomainPairDataset(
@@ -76,8 +73,6 @@ def _pair_dataset(source: np.ndarray, target: np.ndarray, labels: np.ndarray,
         target_y_eval=Tensor(y[perm]),
         n_classes=n_classes,
         input_dim=source.shape[1],
-        generator_id=generator_id,
-        seed=seed,
     )
 
 
@@ -131,8 +126,7 @@ def make_two_moons_pair(
     source_c /= scale
     target_c /= scale
 
-    return _pair_dataset(source_c, target_c, labels, perm, 2,
-                         f"two_moons(rot={rotation_deg:g},noise={noise_std:g})", seed)
+    return _pair_dataset(source_c, target_c, labels, perm, 2)
 
 
 def make_blobs_pair(
@@ -179,8 +173,7 @@ def make_blobs_pair(
     source_c = (source_raw - mean) / scale
     target_c = (target_raw - mean) / scale
 
-    return _pair_dataset(source_c, target_c, labels, perm, n_classes,
-                         f"blobs(k={n_classes},d={d},shift={shift:g})", seed)
+    return _pair_dataset(source_c, target_c, labels, perm, n_classes)
 
 
 class _IndexStream:

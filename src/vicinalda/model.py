@@ -392,11 +392,6 @@ def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:
     return one_hot(np.argmax(logits, axis=1), n_classes)
 
 
-def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
-    """One-hot argmax predictions on target rows; constant, no gradient."""
-    return Tensor(one_hot_argmax(forward_np(p, xt.data), p.n_classes))
-
-
 @contextmanager
 def atomic_open(path: str, mode: str = "w"):
     """Open `<path>.tmp` for writing and rename it over `path` once the

@@ -174,7 +174,8 @@ def build_config(
     seed: int | None = None,
 ) -> TrainConfig:
     """Defaults, then config file, then --set overrides, then flag values.
-    Unknown keys fail loudly, naming the offending key."""
+    Unknown keys fail loudly, naming the offending key; a config file that
+    cannot be read as UTF-8 text raises ContractError naming its path."""
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     cfg = TrainConfig()
 
@@ -185,8 +186,12 @@ def build_config(
             setattr(cfg, key, _coerce(fields[key], raw, key))
 
     if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            apply(parse_config_text(fh.read()), config_path)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractError(f"cannot read config file {config_path}: {exc}") from exc
+        apply(parse_config_text(text), config_path)
     for item in overrides or []:
         if "=" not in item:
             raise ContractError(f"override {item!r} is not KEY=VALUE")
@@ -460,7 +465,7 @@ def covi_step(
         with _overflow_diverges("consensus", step, cfg, p):
             keep = consensus_keep_mask(p, views, cfg.beta)
         cs_keep = float(keep.mean())
-        r_cs = theta_update(consensus_loss(p, views, cfg.beta, keep), cfg.w_cs, "consensus")
+        r_cs = theta_update(consensus_loss(p, views, keep), cfg.w_cs, "consensus")
 
     if pending:
         total = pending[0]

@@ -24,7 +24,6 @@ from .model import (
     encode_np,
     grid_logits,
     logits_of,
-    pseudo_labels,
 )
 
 
@@ -61,23 +60,13 @@ def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
     return (1.0 - lam) * xs + lam * xt
 
 
-def mix(xs: Tensor, xt: Tensor, lam: RatioVector) -> Tensor:
-    """Row-wise mix of two batches at per-row ratios, as a constant tensor."""
-    if xs.shape != xt.shape:
-        raise ContractError(f"mix operand shapes disagree: {xs.shape} vs {xt.shape}")
-    if len(lam) != xs.shape[0]:
-        raise ContractError(f"ratio count {len(lam)} does not match batch size {xs.shape[0]}")
-    return Tensor(mix_np(xs.data, xt.data, lam.values[:, None]))
-
-
-def mix_identities_hold(xs: Tensor, xt: Tensor) -> bool:
-    """`mix` gives xs at ratio 0 and xt at ratio 1 bit for bit, and the
+def mix_identities_hold(xs: np.ndarray, xt: np.ndarray) -> bool:
+    """`mix_np` gives xs at ratio 0 and xt at ratio 1 bit for bit, and the
     midpoint of (2, 0) and (0, 2) is exactly (1, 1)."""
-    n = xs.shape[0]
-    mid = mix(Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]]), ratios([0.5]))
-    return (np.array_equal(mix(xs, xt, ratios(np.zeros(n))).data, xs.data)
-            and np.array_equal(mix(xs, xt, ratios(np.ones(n))).data, xt.data)
-            and np.array_equal(mid.data, [[1.0, 1.0]]))
+    mid = mix_np(np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5)
+    return (np.array_equal(mix_np(xs, xt, 0.0), xs)
+            and np.array_equal(mix_np(xs, xt, 1.0), xt)
+            and np.array_equal(mid, [[1.0, 1.0]]))
 
 
 def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
@@ -189,20 +178,18 @@ def emp_mixup_loss(
     p: ModelParams,
     batch: DomainBatch,
     lam_star: RatioVector,
-    yt_hat: Tensor | None = None,
+    yt_hat: Tensor,
     *,
     return_logits: bool = False,
 ):
     """Worst-case vicinal risk for theta: cross entropy of the mix at the
     learned worst-case ratios against correspondingly mixed labels.
 
-    lam_star is treated as a constant; pseudo labels carry no gradient, so
-    the gradient reaches theta only. `yt_hat` is `pseudo_labels(p, batch.xt)`
-    at this theta, when the caller already has it. With return_logits,
-    returns `(loss, z)`, z the logits of the mix the loss tapes.
+    lam_star is treated as a constant; `yt_hat`, the one-hot argmax
+    predictions on batch.xt at this theta, carries no gradient, so the
+    gradient reaches theta only. With return_logits, returns `(loss, z)`,
+    z the logits of the mix the loss tapes.
     """
-    if yt_hat is None:
-        yt_hat = pseudo_labels(p, batch.xt)
     x_mix = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
     z = logits_of(p, Tensor(x_mix))
     loss = dc.cross_entropy(z, mix_labels(batch.ys, yt_hat, lam_star))

@@ -1,6 +1,6 @@
 """Taped ops that only the tests need, built on `diffcore.tape_node`,
-plain-array reference forwards, and the parameter copy and dominance
-counts the acceptance criteria read.
+plain-array reference forwards, the parameter copy and dominance counts
+the acceptance criteria read, and the pseudo labels the loss tests pass in.
 
 The package tapes each network as one fused node (`model.logits_of`,
 `model.emp_forward`). The tests hold those nodes to the unfused chain
@@ -14,7 +14,7 @@ import numpy as np
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import Tensor
-from vicinalda.model import FORWARD_BLOCK_ROWS, RATIO_GRID, ModelParams, forward_np
+from vicinalda.model import FORWARD_BLOCK_ROWS, RATIO_GRID, ModelParams, forward_np, one_hot_argmax
 from vicinalda.vicinal import mix_np
 
 
@@ -125,6 +125,11 @@ def copy_params(p: ModelParams) -> ModelParams:
     """Deep copy of all parameter tensors (fresh, untracked buffers)."""
     tensors = {name: Tensor(t.data.copy(), requires_grad=True) for name, t in p.named_params()}
     return ModelParams(**tensors, **p.dims(), seed=p.seed)
+
+
+def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
+    """One-hot argmax predictions on target rows; constant, no gradient."""
+    return Tensor(one_hot_argmax(forward_np(p, xt.data), p.n_classes))
 
 
 def dominance_fractions(p, pairs, ys) -> tuple[float, float]:

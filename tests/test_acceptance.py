@@ -16,7 +16,7 @@ import pytest
 
 from vicinalda import diffcore as dc
 from vicinalda.diffcore import Tensor, backward
-from vicinalda.consensus import consensus_loss, make_views
+from vicinalda.consensus import consensus_keep_mask, consensus_loss, make_views
 from vicinalda.contrastive import (
     build_contrastive_pairs,
     confidence_mask,
@@ -31,7 +31,6 @@ from vicinalda.model import (
     load_checkpoint,
     logits_of,
     one_hot_argmax,
-    pseudo_labels,
 )
 from vicinalda.trainer import (
     TrainConfig,
@@ -53,7 +52,7 @@ from vicinalda.vicinal import (
     ratios,
 )
 
-from tape_oracle import copy_params, dominance_fractions
+from tape_oracle import copy_params, dominance_fractions, pseudo_labels
 from test_diffcore import (
     assert_grads_close,
     finite_difference_grads,
@@ -198,7 +197,8 @@ def test_criterion_1_gradient_correctness():
 
     for p, batch, lam in _stable_trials(make_mixup, mixup_margin, 5, start_seed=0):
         params = p.theta_params()
-        fn = lambda: emp_mixup_loss(p, batch, lam)
+        yt_hat = pseudo_labels(p, batch.xt)
+        fn = lambda: emp_mixup_loss(p, batch, lam, yt_hat)
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 
@@ -248,7 +248,8 @@ def test_criterion_1_gradient_correctness():
 
     for p, views in _stable_trials(make_consensus, consensus_margin, 5, start_seed=40):
         params = p.theta_params()
-        fn = lambda: consensus_loss(p, views, beta=2.0)
+        keep = consensus_keep_mask(p, views, 2.0)
+        fn = lambda: consensus_loss(p, views, keep)
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 
@@ -345,7 +346,7 @@ def test_criterion_6_contrastive_identities(default_runs):
     """Mix identities bit-exact, labels sum to 1 exactly, dominance flips."""
     t0 = time.time()
     rng = np.random.default_rng(3)
-    ok_mix = mix_identities_hold(Tensor(rng.normal(size=(64, 2))), Tensor(rng.normal(size=(64, 2))))
+    ok_mix = mix_identities_hold(rng.normal(size=(64, 2)), rng.normal(size=(64, 2)))
 
     run = default_runs["runs"][0]
     warm, ds = run["warm"], run["ds"]
@@ -386,13 +387,15 @@ def test_criterion_7_consensus_zero_perturbation():
         p = init_model(d=3, n_classes=3, seed=seed)
         batch = random_batch(rng, m=24)
         views = make_views(batch, 0.0, np.random.default_rng(seed))
-        loss = consensus_loss(p, views, beta=1e9)  # threshold below every prob
+        # beta 1e9 puts the threshold below every prob
+        loss = consensus_loss(p, views, consensus_keep_mask(p, views, 1e9))
         z_t = logits_of(p, batch.xt)
         self_training = dc.cross_entropy(z_t, one_hot_argmax(z_t.data, 3))
         worst_value_gap = max(worst_value_gap, abs(loss.item() - 2.0 * self_training.item()))
 
         q = copy_params(p)
-        backward(consensus_loss(q, make_views(batch, 0.0, np.random.default_rng(seed)), 1e9))
+        views_q = make_views(batch, 0.0, np.random.default_rng(seed))
+        backward(consensus_loss(q, views_q, consensus_keep_mask(q, views_q, 1e9)))
         grads_cs = [t.grad.copy() for t in q.theta_params()]
         for _, t in q.named_params():
             t.zero_grad()

@@ -39,6 +39,19 @@ class TestUsageErrors:
         assert res.returncode == 2
         assert "missing.cfg" in res.stderr
 
+    @pytest.mark.parametrize("verb,kind", [("train", "directory"), ("eval", "not UTF-8")])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, verb, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"lr = 0.03\n\xff\n")
+        out = tmp_path / "run"
+        res = run_cli(verb, "--config", str(path), "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot read config file {path}: ")
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self):
         res = run_cli("train", "--frobnicate")
         assert res.returncode == 2

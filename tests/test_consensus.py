@@ -12,6 +12,7 @@ from vicinalda.consensus import (
     make_views,
 )
 from vicinalda.model import init_model, logits_of, one_hot_argmax
+from vicinalda.vicinal import mix_np
 
 from test_model import params_checksum
 from test_vicinal import random_batch
@@ -41,19 +42,22 @@ class TestMakeViews:
         batch = random_batch(rng, m=6)
         lam_p = 0.2
         views = make_views(batch, lam_p, np.random.default_rng(4))
+        shuffle = np.random.default_rng(4).permutation(6)
         # each view row = lam_p * (some source row) + (1-lam_p) * own target row
         v1_src = (views.x_v1.data - (1 - lam_p) * batch.xt.data) / lam_p
         v2_src = (views.x_v2.data - (1 - lam_p) * batch.xt.data) / lam_p
         assert np.allclose(v1_src, batch.xs.data, atol=1e-12)
-        assert np.allclose(v2_src, batch.xs.data[views.shuffle], atol=1e-12)
+        assert np.allclose(v2_src, batch.xs.data[shuffle], atol=1e-12)
 
     def test_shuffle_is_permutation_and_deterministic(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, m=16)
         v1 = make_views(batch, 0.1, np.random.default_rng(9))
         v2 = make_views(batch, 0.1, np.random.default_rng(9))
-        assert sorted(v1.shuffle) == list(range(16))
-        assert np.array_equal(v1.shuffle, v2.shuffle)
+        shuffle = np.random.default_rng(9).permutation(16)
+        assert sorted(shuffle) == list(range(16))
+        assert np.array_equal(v1.x_v2.data, mix_np(batch.xt.data, batch.xs.data[shuffle], 0.1))
+        assert np.array_equal(v1.x_v2.data, v2.x_v2.data)
 
     def test_out_of_range_lam_p_rejected(self):
         batch = random_batch(np.random.default_rng(6), m=8)
@@ -92,7 +96,7 @@ class TestConsensusLoss:
         p = init_model(d=3, n_classes=3, seed=0)
         batch = random_batch(rng, m=12)
         views = make_views(batch, 0.0, np.random.default_rng(10))
-        loss = consensus_loss(p, views, beta=1e6)  # huge beta: keep all
+        loss = consensus_loss(p, views, consensus_keep_mask(p, views, beta=1e6))  # keep all
         z_t = logits_of(p, batch.xt)
         self_training = dc.cross_entropy(z_t, one_hot_argmax(z_t.data, 3))
         assert abs(loss.item() - 2.0 * self_training.item()) < 1e-10
@@ -102,7 +106,7 @@ class TestConsensusLoss:
         p = init_model(d=3, n_classes=3, seed=1)
         batch = random_batch(rng, m=10)
         views = make_views(batch, 0.0, np.random.default_rng(12))
-        backward(consensus_loss(p, views, beta=1e6))
+        backward(consensus_loss(p, views, consensus_keep_mask(p, views, beta=1e6)))
         grads_consensus = [t.grad.copy() for t in p.theta_params()]
         for t in p.theta_params():
             t.zero_grad()
@@ -117,8 +121,9 @@ class TestConsensusLoss:
         batch = random_batch(rng, m=8)
         views = make_views(batch, 0.1, np.random.default_rng(14))
         # strongly negative beta raises the threshold above every prob
-        assert not consensus_keep_mask(p, views, beta=-50.0).any()
-        loss = consensus_loss(p, views, beta=-50.0)
+        keep = consensus_keep_mask(p, views, beta=-50.0)
+        assert not keep.any()
+        loss = consensus_loss(p, views, keep)
         assert loss.item() == 0.0
         assert loss.requires_grad is False
 
@@ -128,7 +133,7 @@ class TestConsensusLoss:
         batch = random_batch(rng, m=16)
         views = make_views(batch, 0.15, np.random.default_rng(16))
         beta = 0.5
-        loss = consensus_loss(p, views, beta)
+        loss = consensus_loss(p, views, consensus_keep_mask(p, views, beta))
 
         def softmax(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -152,7 +157,7 @@ class TestConsensusLoss:
         p = init_model(d=3, n_classes=3, seed=4)
         batch = random_batch(rng, m=10)
         views = make_views(batch, 0.1, np.random.default_rng(18))
-        backward(consensus_loss(p, views, beta=2.0))
+        backward(consensus_loss(p, views, consensus_keep_mask(p, views, beta=2.0)))
         assert all(t.grad is not None for t in p.theta_params())
         assert all(t.grad is None for t in p.phi_params())
         assert all(np.all(np.isfinite(t.grad)) for t in p.theta_params())
@@ -163,5 +168,5 @@ class TestConsensusLoss:
         batch = random_batch(rng, m=6)
         before = params_checksum(p.phi_params())
         views = make_views(batch, 0.1, np.random.default_rng(20))
-        backward(consensus_loss(p, views, beta=2.0))
+        backward(consensus_loss(p, views, consensus_keep_mask(p, views, beta=2.0)))
         assert params_checksum(p.phi_params()) == before

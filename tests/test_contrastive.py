@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vicinalda.diffcore import ContractError, backward
+from vicinalda.diffcore import ContractError, Tensor, backward
 from vicinalda import contrastive
 from vicinalda.contrastive import (
     build_contrastive_pairs,
@@ -14,10 +14,10 @@ from vicinalda.contrastive import (
     target_top1_probs,
     top2_of,
 )
-from vicinalda.model import init_model, logits_of, one_hot_argmax, pseudo_labels
-from vicinalda.vicinal import ratios
+from vicinalda.model import init_model, logits_of, one_hot_argmax
+from vicinalda.vicinal import mix_np, ratios
 
-from tape_oracle import dominance_fractions
+from tape_oracle import dominance_fractions, pseudo_labels
 from test_vicinal import random_batch
 
 
@@ -217,13 +217,12 @@ class TestContrastiveLoss:
         # coinciding-views case is constructed directly: the loss stays
         # finite and nonnegative when both views are the same mix
         from vicinalda.contrastive import ContrastivePair
-        from vicinalda.vicinal import mix
 
         rng = np.random.default_rng(16)
         p = init_model(d=3, n_classes=3, seed=4)
         batch = random_batch(rng, m=6)
         lam = ratios(np.full(6, 0.5))
-        x_view = mix(batch.xs, batch.xt, lam)
+        x_view = Tensor(mix_np(batch.xs.data, batch.xt.data, lam.values[:, None]))
         pairs = ContrastivePair(
             x_sd=x_view, x_td=x_view, lam_sd=lam, lam_td=lam,
             kept_indices=np.arange(6),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vicinalda.diagnostics import (
-    EquilibriumReport,
     SweepRow,
     empirical_emp,
     equilibrium_report,
@@ -15,7 +14,6 @@ from vicinalda.diagnostics import (
     write_sweep_csv,
 )
 from vicinalda.diffcore import ContractError, Tensor
-from vicinalda.domains import make_two_moons_pair
 from vicinalda import diffcore as dc
 from vicinalda.model import RATIO_GRID, forward_np, init_model, logits_of
 from vicinalda.trainer import TrainConfig, derive_seeds, make_dataset, warmup
@@ -168,18 +166,20 @@ class TestEquilibriumReport:
     def test_identical_checkpoints_identical_rows(self, tmp_path):
         ds, p = trained_setup()
         report = equilibrium_report(p, p, ds, str(tmp_path), n_samples=64)
-        assert report.before_rows == report.after_rows
+        before, after = ((tmp_path / name).read_bytes()
+                         for name in ("sweep_before.csv", "sweep_after.csv"))
+        assert before == after
         assert report.before_emp == report.after_emp
 
     def test_csv_round_trip(self, tmp_path):
         ds, p = trained_setup()
-        report = equilibrium_report(p, p, ds, str(tmp_path), n_samples=64)
-        with open(report.csv_before) as fh:
-            lines = fh.read().splitlines()
+        equilibrium_report(p, p, ds, str(tmp_path), n_samples=64)
+        lines = (tmp_path / "sweep_before.csv").read_text().splitlines()
         assert lines[0] == "lambda,mean_entropy,source_dom,target_dom"
         back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         expected = np.array(
-            [[r.lam, r.mean_entropy, r.source_dom, r.target_dom] for r in report.before_rows]
+            [[r.lam, r.mean_entropy, r.source_dom, r.target_dom]
+             for r in lambda_sweep(p, ds, n_samples=64)]
         )
         assert back.shape == (11, 4)
         assert np.max(np.abs(back - expected)) < 1e-6

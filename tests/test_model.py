@@ -24,12 +24,12 @@ from vicinalda.model import (
     load_checkpoint,
     logits_of,
     one_hot_argmax,
-    pseudo_labels,
     save_checkpoint,
 )
 
 from tape_oracle import (
     copy_params,
+    pseudo_labels,
     tmean,
     unfused_emp_forward,
     unfused_features,

@@ -1,18 +1,27 @@
 """One surface rule for the whole package: every public top-level function
-or class in src/vicinalda has a reader outside the tests.
+or class in src/vicinalda, and every field of a package dataclass, has a
+reader outside the tests.
 
 A name counts as read when one of these refers to it:
 - package code outside its own definition and outside `__init__.py`;
 - a `Tensor` operator method (`a @ b` calls `matmul`);
 - `bench/tracer.py`'s TARGETS, or a `vicinalda` import in a bench/ file.
 
+The package root exports only the library entry point, and no module of the
+package or of the tests imports a name it never reads.
+
 The bench files are parsed, never imported or edited."""
 
 import ast
 import os
+import re
+
+import vicinalda
+from vicinalda import trainer
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "vicinalda")
+TESTS = os.path.join(REPO, "tests")
 BENCH = os.path.join(REPO, "bench")
 
 
@@ -105,6 +114,69 @@ def bench_imports():
     return used
 
 
+def dataclass_fields(modules):
+    """(module, class, field) for every annotated field of a package
+    `@dataclass`."""
+    out = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                out.update((module, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+    return out
+
+
+def unread_fields(modules):
+    """Dataclass fields no package code reads, as "module.Class.field".
+
+    A field counts as read when package code outside `__init__.py` loads
+    `.field` on anything (methods included) or names it in a string literal,
+    or when its class is passed to `dataclasses.fields`. The rule cannot
+    tell objects apart: a field that shares its name with another attribute
+    the package reads passes (`DomainPairDataset.seed` and
+    `ConsensusViews.lam_p` did, beside `ModelParams.seed` and the `lam_p`
+    config key)."""
+    loaded, strings, listed = set(), set(), set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "dataclasses.fields"
+                  and isinstance(node.args[0], ast.Name)):
+                listed.add(node.args[0].id)
+    return sorted(f"{module}.{cls}.{field}"
+                  for module, cls, field in dataclass_fields(modules)
+                  if field not in loaded and field not in strings and cls not in listed)
+
+
+def unused_imports(tree):
+    """Names a module imports and never reads. A name in the module's
+    `__all__` counts as read; `from __future__` imports are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def library_use_imports():
+    """(module, name) pairs README's "Library use" code block imports."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return [(node.module, a.name) for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
 class TestPublicSurface:
     def test_every_public_name_has_a_reader_outside_the_tests(self):
         modules = package_modules()
@@ -122,3 +194,38 @@ class TestPublicSurface:
         assert ("diffcore", "matmul") in tensor_operator_calls(modules["diffcore"])
         assert ("diffcore", "SGD") in tracer_targets()
         assert ("vicinal", "brute_force_emp") in bench_imports()
+
+    def test_every_dataclass_field_has_a_reader_outside_the_tests(self):
+        assert unread_fields(package_modules()) == []
+
+    def test_the_field_rule_flags_an_unread_field(self):
+        modules = package_modules()
+        batch = next(n for n in modules["domains"].body
+                     if isinstance(n, ast.ClassDef) and n.name == "DomainBatch")
+        batch.body.append(ast.parse("origin: str").body[0])
+        assert unread_fields(modules) == ["domains.DomainBatch.origin"]
+
+    def test_no_module_imports_a_name_it_never_reads(self):
+        paths = [os.path.join(d, name) for d in (SRC, TESTS)
+                 for name in sorted(os.listdir(d)) if name.endswith(".py")]
+        unused = {os.path.relpath(path, REPO): unused_imports(parse(path)) for path in paths}
+        assert {path: names for path, names in unused.items() if names} == {}
+
+    def test_the_import_rule_flags_an_unread_import(self):
+        tree = ast.parse("from __future__ import annotations\n"
+                         "import os\nimport numpy as np\nfrom .x import a, b\n"
+                         "__all__ = ['b']\nnp.zeros(1)\n")
+        assert unused_imports(tree) == ["a", "os"]
+
+
+class TestRootSurface:
+    def test_root_exports_the_library_entry_point_only(self):
+        assert vicinalda.__all__ == ["TrainConfig", "train"]
+        assert vicinalda.TrainConfig is trainer.TrainConfig
+        assert vicinalda.train is trainer.train
+
+    def test_readme_library_use_imports_only_root_exports(self):
+        imports = library_use_imports()
+        assert imports
+        assert all(module == "vicinalda" and name in vicinalda.__all__
+                   for module, name in imports)

@@ -23,7 +23,6 @@ from vicinalda.model import (
     init_model,
     load_checkpoint,
     logits_of,
-    pseudo_labels,
 )
 from vicinalda.trainer import (
     METRICS_HEADER,
@@ -42,9 +41,9 @@ from vicinalda.trainer import (
     train,
     warmup,
 )
-from vicinalda.vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix, ratios
+from vicinalda.vicinal import emp_argmax, emp_learner_loss, emp_mixup_loss, mix_np
 
-from tape_oracle import copy_params
+from tape_oracle import copy_params, pseudo_labels
 from test_model import params_checksum
 
 
@@ -291,7 +290,7 @@ class TestEvaluate:
             source_y=Tensor(ds.source_y.data[:10]),
             target_x=Tensor(ds.target_x.data[:10]),
             target_y_eval=Tensor(ds.target_y_eval.data[:10]),
-            n_classes=2, input_dim=2, generator_id="fixture", seed=0,
+            n_classes=2, input_dim=2,
         )
         assert evaluate(p, sub)[1] == manual
 
@@ -311,7 +310,7 @@ class TestEvaluate:
         oracle_ds = type(ds)(
             source_x=ds.source_x, source_y=ds.source_y,
             target_x=ds.target_x, target_y_eval=Tensor(onehot),
-            n_classes=2, input_dim=2, generator_id="oracle", seed=0,
+            n_classes=2, input_dim=2,
         )
         assert evaluate(p, oracle_ds)[1] == 1.0
 
@@ -375,10 +374,9 @@ class TestCoviStep:
         for _, t in q.named_params():
             t.zero_grad()
         lam_star = emp_argmax(q, batch)
-        ent_at_star = float(
-            np.mean(dc.entropy_rows_np(logits_of(q, mix(batch.xs, batch.xt, lam_star)).data))
-        )
-        mix_loss = emp_mixup_loss(q, batch, lam_star)
+        x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
+        ent_at_star = float(np.mean(dc.entropy_rows_np(logits_of(q, Tensor(x_star)).data)))
+        mix_loss = emp_mixup_loss(q, batch, lam_star, pseudo_labels(q, batch.xt))
         r_mix = mix_loss.item()
         backward(mix_loss * cfg.w_emp)
         opt_theta.step()
@@ -394,8 +392,9 @@ class TestCoviStep:
         for _, t in q.named_params():
             t.zero_grad()
         views = make_views(batch, cfg.lam_p, views_rng_replay)
-        cs_keep = float(consensus_keep_mask(q, views, cfg.beta).mean())
-        cs = consensus_loss(q, views, cfg.beta)
+        keep = consensus_keep_mask(q, views, cfg.beta)
+        cs_keep = float(keep.mean())
+        cs = consensus_loss(q, views, keep)
         r_cs = cs.item()
         backward(cs * cfg.w_cs)
         opt_theta.step()

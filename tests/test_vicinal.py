@@ -15,7 +15,6 @@ from vicinalda.model import (
     forward_np,
     init_model,
     logits_of,
-    pseudo_labels,
 )
 from vicinalda import vicinal
 from vicinalda.vicinal import (
@@ -27,14 +26,13 @@ from vicinalda.vicinal import (
     grid_entropy_table,
     grid_profile_target,
     maximality_violations,
-    mix,
     mix_labels,
     mix_np,
     ratio_agreement,
     ratios,
 )
 
-from tape_oracle import unfused_features
+from tape_oracle import pseudo_labels, unfused_features
 from test_diffcore import assert_same_bits
 from test_model import params_checksum, perturbed_model
 
@@ -58,19 +56,19 @@ def pair_grid_logits(p, batch):
 class TestMix:
     def test_lambda_zero_is_source_bit_exact(self):
         rng = np.random.default_rng(0)
-        xs, xt = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
-        out = mix(xs, xt, ratios(np.zeros(4)))
-        assert np.array_equal(out.data, xs.data)
+        xs, xt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        out = mix_np(xs, xt, np.zeros((4, 1)))
+        assert np.array_equal(out, xs)
 
     def test_lambda_one_is_target_bit_exact(self):
         rng = np.random.default_rng(1)
-        xs, xt = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
-        out = mix(xs, xt, ratios(np.ones(4)))
-        assert np.array_equal(out.data, xt.data)
+        xs, xt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        out = mix_np(xs, xt, np.ones((4, 1)))
+        assert np.array_equal(out, xt)
 
     def test_midpoint(self):
-        out = mix(Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]]), ratios([0.5]))
-        assert np.array_equal(out.data, [[1.0, 1.0]])
+        out = mix_np(np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5)
+        assert np.array_equal(out, [[1.0, 1.0]])
 
     def test_out_of_range_ratio_rejected(self):
         with pytest.raises(ContractError):
@@ -112,7 +110,6 @@ class TestMixLabels:
         y_mix = mix_labels(batch.ys, pseudo_labels(p, batch.xt), lam)
         expected = (1 - lam.values[:, None]) * batch.xs.data + lam.values[:, None] * batch.xt.data
         assert np.array_equal(x_mix, expected)
-        assert np.array_equal(x_mix, mix(batch.xs, batch.xt, lam).data)
         assert np.max(np.abs(y_mix.data.sum(axis=1) - 1.0)) < 1e-9
 
 
@@ -203,7 +200,7 @@ class TestTapeFreeRatioMachinery:
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
         oracle = np.empty((m, len(RATIO_GRID)))
         for k, lam_k in enumerate(RATIO_GRID):
-            logits = logits_of(p, mix(batch.xs, batch.xt, ratios(np.full(m, lam_k)))).data
+            logits = logits_of(p, Tensor(mix_np(batch.xs.data, batch.xt.data, lam_k))).data
             oracle[:, k] = dc.entropy_rows_np(logits)
         assert np.array_equal(grid_entropy_table(p, batch), oracle)
 
@@ -299,7 +296,8 @@ class TestEmpLearnerLoss:
         def soft_entropy():
             # the learner's expected grid ratio per pair
             lam = ratios(dc.softmax_np(pair_grid_logits(p, batch).data) @ RATIO_GRID)
-            return dc.entropy_rows_np(logits_of(p, mix(batch.xs, batch.xt, lam)).data).mean()
+            x_mix = mix_np(batch.xs.data, batch.xt.data, lam.values[:, None])
+            return dc.entropy_rows_np(logits_of(p, Tensor(x_mix)).data).mean()
 
         start = soft_entropy()
         opt_phi = SGD(p.phi_params(), lr=0.05, momentum=0.9)
@@ -343,7 +341,7 @@ class TestEmpMixupLoss:
         rng = np.random.default_rng(19)
         p = init_model(d=3, n_classes=3, seed=16)
         batch = random_batch(rng)
-        loss = emp_mixup_loss(p, batch, ratios(np.zeros(batch.m)))
+        loss = emp_mixup_loss(p, batch, ratios(np.zeros(batch.m)), pseudo_labels(p, batch.xt))
         expected = dc.cross_entropy(logits_of(p, batch.xs), batch.ys)
         assert abs(loss.item() - expected.item()) < 1e-15
 
@@ -351,8 +349,8 @@ class TestEmpMixupLoss:
         rng = np.random.default_rng(20)
         p = init_model(d=3, n_classes=3, seed=17)
         batch = random_batch(rng)
-        loss = emp_mixup_loss(p, batch, ratios(np.ones(batch.m)))
         yt_hat = pseudo_labels(p, batch.xt)
+        loss = emp_mixup_loss(p, batch, ratios(np.ones(batch.m)), yt_hat)
         expected = dc.cross_entropy(logits_of(p, batch.xt), yt_hat)
         assert abs(loss.item() - expected.item()) < 1e-15
         assert loss.item() >= 0.0
@@ -362,11 +360,12 @@ class TestEmpMixupLoss:
         p = init_model(d=4, n_classes=3, seed=18)
         batch = random_batch(rng, m=5, d=4)
         lam = brute_force_emp(p, batch)
-        loss = emp_mixup_loss(p, batch, lam)
+        yt_hat = pseudo_labels(p, batch.xt)
+        loss = emp_mixup_loss(p, batch, lam, yt_hat)
         # independent recomputation of the mixed risk from its definition
         lam_col = lam.values[:, None]
         x_mix = (1 - lam_col) * batch.xs.data + lam_col * batch.xt.data
-        yt = pseudo_labels(p, batch.xt).data
+        yt = yt_hat.data
         y_mix = (1 - lam_col) * batch.ys.data + lam_col * yt
         z = logits_of(p, Tensor(x_mix)).data
         prob = np.exp(z - z.max(axis=1, keepdims=True))
@@ -378,7 +377,8 @@ class TestEmpMixupLoss:
         rng = np.random.default_rng(22)
         p = init_model(d=3, n_classes=3, seed=19)
         batch = random_batch(rng)
-        backward(emp_mixup_loss(p, batch, ratios(np.full(batch.m, 0.5))))
+        yt_hat = pseudo_labels(p, batch.xt)
+        backward(emp_mixup_loss(p, batch, ratios(np.full(batch.m, 0.5)), yt_hat))
         assert all(t.grad is not None for t in p.theta_params())
         assert all(t.grad is None for t in p.phi_params())
 
