@@ -42,6 +42,7 @@ from .trainer import (
     warmup,
 )
 from .vicinal import (
+    RatioVector,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
@@ -49,7 +50,6 @@ from .vicinal import (
     maximality_violations,
     mix_identities_hold,
     ratio_agreement,
-    ratios,
 )
 
 USAGE_ERROR = 2
@@ -175,11 +175,11 @@ def _check_gradients(rng) -> bool:
             ys=Tensor(dc.one_hot(rng.integers(0, 3, 4), 3)),
             xt=Tensor(rng.normal(size=(4, 3))),
         )
-        lam = ratios(rng.uniform(0.1, 0.9, 4))
+        lam = RatioVector(rng.uniform(0.1, 0.9, 4))
         yt_hat = Tensor(dc.one_hot(rng.integers(0, 3, 4), 3))
         for fn, params in (
-            (lambda: emp_mixup_loss(p, batch, lam, yt_hat), p.theta_params()),
-            (lambda: emp_learner_loss(p, batch), p.phi_params()),
+            (lambda: emp_mixup_loss(p, batch, lam, yt_hat)[0], p.theta_params()),
+            (lambda: emp_learner_loss(p, batch)[0], p.phi_params()),
         ):
             analytic = dc.backward_grads(fn, params)
             if dc.grad_mismatches(analytic, dc.finite_difference_grads(fn, params)):

@@ -21,7 +21,7 @@ from . import diffcore as dc
 from .diffcore import ContractError, Tensor
 from .domains import DomainBatch
 from .model import ModelParams, forward_np, logits_of, one_hot_argmax
-from .vicinal import RatioVector, mix_np, ratios
+from .vicinal import RatioVector, mix_np
 
 
 def confidence_mask(top1_probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -107,8 +107,8 @@ def build_contrastive_pairs(
 
     xs = batch.xs.data[idx]
     xt = batch.xt.data[idx]
-    lam_sd = ratios(lam_sd_all[idx])
-    lam_td = ratios(lam_td_all[idx])
+    lam_sd = RatioVector(lam_sd_all[idx])
+    lam_td = RatioVector(lam_td_all[idx])
     return ContrastivePair(
         x_sd=Tensor(mix_np(xs, xt, lam_sd.values[:, None])),
         x_td=Tensor(mix_np(xs, xt, lam_td.values[:, None])),
@@ -140,23 +140,19 @@ def contrastive_loss(
     pairs: ContrastivePair,
     ys: Tensor,
     yt_hat: Tensor,
-    *,
-    return_logits: bool = False,
-):
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Sum of the two swapped-label risks over the kept pairs.
 
     Per kept pair i (target fractions lam_sd < lam* < lam_td):
       target-dominant label = lam_td * yt_hat_i + (1 - lam_td) * top1(z_sd_i)
       source-dominant label = (1 - lam_sd) * ys_i + lam_sd * top1(z_td_i)
     Both cross entropies average over the kept pairs only. An empty kept
-    set contributes a constant zero. With return_logits, returns
-    `(loss, z_sd, z_td)`, the view logits the loss tapes ([0 x n] when
-    no pair is kept).
+    set contributes a constant zero. Returns `(loss, z_sd, z_td)`, z_sd
+    and z_td the view logits the loss tapes ([0 x n] when no pair is kept).
     """
     n = p.n_classes
     if pairs.n_kept == 0:
-        loss = Tensor(0.0)
-        return (loss, np.empty((0, n)), np.empty((0, n))) if return_logits else loss
+        return Tensor(0.0), np.empty((0, n)), np.empty((0, n))
     idx = pairs.kept_indices
     z_sd = logits_of(p, pairs.x_sd)
     z_td = logits_of(p, pairs.x_td)
@@ -166,7 +162,7 @@ def contrastive_loss(
     label_td = mix_np(top1_sd, yt_hat.data[idx], pairs.lam_td.values[:, None])
     label_sd = mix_np(ys.data[idx], top1_td, pairs.lam_sd.values[:, None])
     loss = dc.cross_entropy(z_td, label_td) + dc.cross_entropy(z_sd, label_sd)
-    return (loss, z_sd.data, z_td.data) if return_logits else loss
+    return loss, z_sd.data, z_td.data
 
 
 def swap_agreement_of(z_sd: np.ndarray, z_td: np.ndarray) -> float:

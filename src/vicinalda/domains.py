@@ -143,6 +143,8 @@ def make_blobs_pair(
         raise ContractError(f"n_classes must be >= 2, got {n_classes}")
     if d < 2:
         raise ContractError(f"d must be >= 2, got {d}")
+    if blob_std < 0.0:
+        raise ContractError(f"blob_std must be >= 0, got {blob_std}")
     rng = np.random.default_rng(seed)
 
     means = rng.normal(0.0, 1.0, (n_classes, d))

@@ -7,12 +7,11 @@ pair). An optimizer step on one group never touches the other.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 import struct
-import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -117,63 +116,23 @@ def init_model(
     return _params_from(dims, seed, arrays)
 
 
-# Scratch arrays: the forwards and VJPs below write their temporaries into
-# arrays from a per-thread free list, so the wide step reuses its memory
-# instead of page-faulting on fresh arrays. This module alone decides when
-# an array goes back: a tape-free forward gives its temporaries back before
-# it returns, a VJP its own right away, and a network node its activations
-# once the node is released. Nothing handed to a caller is a scratch array.
-
-# Arrays under glibc's default mmap threshold (128 KiB) come from the heap
-# without page faults, so below it the forwards let numpy allocate: the free
-# list's bookkeeping would cost more than it saves at the 64-row shapes.
-_SCRATCH_MIN_BYTES = 128 * 1024
-# Arrays over 4 MiB bypass the list too, so one large batch does not pin its
-# temporaries for the life of the thread (a 20,000-row tape at hidden 256
-# makes 41 MB ones). Each benchmark workload's largest temporary is 1 MiB
-# (512 rows at hidden 256), so their steady state stays on the list.
-_SCRATCH_MAX_BYTES = 4 * 1024 * 1024
-
-
-class _FreeLists(threading.local):
-    """Per thread: (dtype, width) -> arrays a forward may write into."""
-
-    def __init__(self):
-        self.free: dict[tuple[type, int], list[np.ndarray]] = {}
-
-
-_scratch = _FreeLists()
-_ITEMSIZE = {np.float64: 8, np.bool_: 1}
-
-
-def _take_scratch(shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray | None:
-    """The `out=` argument for a numpy call that makes a temporary of
-    `shape`: None outside _SCRATCH_MIN_BYTES to _SCRATCH_MAX_BYTES, so
-    numpy allocates a fresh array, and otherwise an uninitialized
-    C-contiguous array from this thread's free list, which keeps arrays by
-    dtype and last dimension and lends the leading rows of one with room.
-    A popped array that is too small is dropped, so each list holds no more
-    arrays than were ever taken at once, none over _SCRATCH_MAX_BYTES."""
-    width, rows = shape[-1], math.prod(shape[:-1])
-    if not _SCRATCH_MIN_BYTES <= rows * width * _ITEMSIZE[dtype] <= _SCRATCH_MAX_BYTES:
-        return None
-    free = _scratch.free.get((dtype, width))
-    if free:
-        a = free.pop()
-        if a.shape[0] >= rows:
-            return a[:rows].reshape(shape)
-    return np.empty((rows, width), dtype).reshape(shape)
-
-
-def _give_scratch(*arrays: np.ndarray) -> None:
-    """Hand arrays made with _take_scratch's `out=` back to this thread's
-    free list; the fresh ones numpy made outside the size gates are let go.
-    The caller must not touch them afterwards; each may be given once."""
-    free = _scratch.free
-    for a in arrays:
-        owner = a if a.base is None else a.base
-        if _SCRATCH_MIN_BYTES <= owner.nbytes <= _SCRATCH_MAX_BYTES:
-            free.setdefault((owner.dtype.type, owner.shape[1]), []).append(owner)
+# glibc's allocator, set once for the process. Trim is the setting that
+# matters: at its default glibc hands the free top of the heap back to the
+# kernel once it passes 128 KiB, so every wide step (batch 512, hidden 256)
+# faults its 1 MiB temporaries in afresh, about 2,600 minor faults a step;
+# M_TRIM_THRESHOLD (-1) at 16 MiB keeps that memory, about 4 a step.
+# Arrays over 4 MiB (M_MMAP_THRESHOLD, -3) are mmapped and go back to the
+# kernel when freed, so one large batch does not keep its memory; setting
+# it also fixes glibc's sliding mmap threshold, which trim alone would pin
+# at 128 KiB (about 600 faults a step).
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError):
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-1, 16 * 1024 * 1024)
+    _mallopt(-3, 4 * 1024 * 1024)
 
 
 def _constant(x: Tensor) -> np.ndarray:
@@ -183,22 +142,17 @@ def _constant(x: Tensor) -> np.ndarray:
     return x.data
 
 
-def _scratch_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b into a scratch array."""
-    return affine_np(x, w, b, _take_scratch((x.shape[0], w.shape[1])))
-
-
 def _hidden_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ReLU(x @ w + b) and its `pre-activation > 0` mask, both scratch; the
-    mask is taken before the ReLU runs in place."""
-    h = _scratch_affine(x, w, b)
-    mask = np.greater(h, 0.0, out=_take_scratch(h.shape, np.bool_))
+    """ReLU(x @ w + b) and its `pre-activation > 0` mask; the mask is taken
+    before the ReLU runs in place."""
+    h = affine_np(x, w, b)
+    mask = h > 0.0
     return relu_np(h), mask
 
 
 def _hidden_vjp(g: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(g @ w.T) * mask into a scratch array: the multiply runs in place."""
-    gh = np.matmul(g, w.T, out=_take_scratch((g.shape[0], w.shape[0])))
+    """(g @ w.T) * mask, the multiply in place."""
+    gh = g @ w.T
     gh *= mask
     return gh
 
@@ -206,50 +160,42 @@ def _hidden_vjp(g: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def logits_of(p: ModelParams, x: Tensor) -> Tensor:
     """Class logits of constant inputs, as one tape node whose parents are
     the theta parameters. The forward runs the steps of `forward_np`; the
-    VJP runs the three layer VJPs from last to first. The activations are
-    scratch arrays that go back to the free list when the node is released,
-    not when the VJP runs, so a graph can be backpropagated more than once:
-    only the node holds the VJP, and a finalizer on the VJP gives them back."""
+    VJP runs the three layer VJPs from last to first. The VJP holds the
+    activations until the node is released, so a graph can be
+    backpropagated more than once."""
     x = _constant(x)
     _check_inputs(p, x)
     w1, b1, w2, b2, wc, bc = (t.data for t in p.theta_params())
     h, mask = _hidden_layer(x, w1, b1)
-    z = affine_np(h, w2, b2, _take_scratch((x.shape[0], p.feat_dim)))
+    z = affine_np(h, w2, b2)
 
     def vjp(g):
-        gz = np.matmul(g, wc.T, out=_take_scratch((g.shape[0], p.feat_dim)))
+        gz = g @ wc.T
         gh = _hidden_vjp(gz, w2, mask)
-        grads = x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
-        _give_scratch(gz, gh)
-        return grads
+        return x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
 
-    weakref.finalize(vjp, _give_scratch, h, mask, z)
     return tape_node(affine_np(z, wc, bc), tuple(p.theta_params()), vjp)
 
 
-def _pair_scratch(zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """[zs | zt] into a scratch array."""
+def _pair(zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """[zs | zt]."""
     if zs.shape != zt.shape:
         raise ShapeError(f"feature pair shapes disagree: {zs.shape} vs {zt.shape}")
-    return np.concatenate([zs, zt], axis=1, out=_take_scratch((zs.shape[0], 2 * zs.shape[1])))
+    return np.concatenate([zs, zt], axis=1)
 
 
 def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
     """Grid logits for each pair of constant source/target features, one
     row per pair, as one tape node whose parents are the phi parameters.
-    Its scratch arrays go back when the node is released, as in
-    `logits_of`."""
-    pair = _pair_scratch(_constant(zs), _constant(zt))
+    Its VJP holds the activations, as in `logits_of`."""
+    pair = _pair(_constant(zs), _constant(zt))
     w1, b1, w2, b2 = (t.data for t in p.phi_params())
     h, mask = _hidden_layer(pair, w1, b1)
 
     def vjp(g):
         gh = _hidden_vjp(g, w2, mask)
-        grads = pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
-        _give_scratch(gh)
-        return grads
+        return pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
 
-    weakref.finalize(vjp, _give_scratch, pair, h, mask)
     return tape_node(affine_np(h, w2, b2), tuple(p.phi_params()), vjp)
 
 
@@ -266,8 +212,7 @@ def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
 # 2000 rows), and with two processes sharing the two cores each waited on
 # the other's BLAS threads: 24 ms per 2000-row forward, trains 3-5x slower. A
 # 480-row block's widest temporary, the hidden layer at hidden 256, is
-# 960 KiB and fits the 2 MiB per-core L2. The temporaries are scratch
-# arrays, reused across calls.
+# 960 KiB and fits the 2 MiB per-core L2.
 FORWARD_BLOCK_ROWS = 480
 
 
@@ -299,12 +244,10 @@ def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
 
 # The plain-array layers run the steps of the taped nodes (diffcore.affine_np,
 # diffcore.relu_np), so both forwards agree bit for bit. Each writes its
-# result into `out` (None: a fresh array) and gives its scratch back.
+# result into `out` (None: a fresh array).
 def _encode_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    h = relu_np(_scratch_affine(x, p.enc_w1.data, p.enc_b1.data))
-    z = affine_np(h, p.enc_w2.data, p.enc_b2.data, out)
-    _give_scratch(h)
-    return z
+    h = relu_np(affine_np(x, p.enc_w1.data, p.enc_b1.data))
+    return affine_np(h, p.enc_w2.data, p.enc_b2.data, out)
 
 
 def _classify_rows(p: ModelParams, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -312,10 +255,7 @@ def _classify_rows(p: ModelParams, z: np.ndarray, out: np.ndarray | None) -> np.
 
 
 def _logits_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    z = _encode_rows(p, x, _take_scratch((x.shape[0], p.feat_dim)))
-    logits = _classify_rows(p, z, out)
-    _give_scratch(z)
-    return logits
+    return _classify_rows(p, _encode_rows(p, x, None), out)
 
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
@@ -362,15 +302,10 @@ def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
     the default batch of 64 is, and at the wide shape for every m tried,
     the wide batch of 512 included.
     """
-    shape = (RATIO_GRID_SIZE, *xs.shape)
     grid = RATIO_GRID[:, None, None]
-    # vicinal.mix_np's two products and their sum, into scratch arrays
-    mixes = np.multiply(1.0 - grid, xs, out=_take_scratch(shape))
-    part = np.multiply(grid, xt, out=_take_scratch(shape))
-    mixes += part
-    logits = forward_np(p, mixes.reshape(-1, xs.shape[1]))
-    _give_scratch(mixes, part)
-    return logits
+    # vicinal.mix_np's two products and their sum
+    mixes = (1.0 - grid) * xs + grid * xt
+    return forward_np(p, mixes.reshape(-1, xs.shape[1]))
 
 
 def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -380,11 +315,9 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     64 -> 11 output layer is where OpenBLAS switches kernels with the row
     count (past about 1500 rows a block and the whole matrix round apart).
     """
-    pair = _pair_scratch(zs, zt)
-    h = relu_np(_scratch_affine(pair, p.emp_w1.data, p.emp_b1.data))
-    logits = affine_np(h, p.emp_w2.data, p.emp_b2.data)
-    _give_scratch(pair, h)
-    return logits
+    pair = _pair(zs, zt)
+    h = relu_np(affine_np(pair, p.emp_w1.data, p.emp_b1.data))
+    return affine_np(h, p.emp_w2.data, p.emp_b2.data)
 
 
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:

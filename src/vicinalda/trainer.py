@@ -118,8 +118,9 @@ class TrainConfig:
                           ("feat_dim", 1), ("hidden", 1), ("hidden_g", 1)):
             if getattr(self, name) < low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.noise_std < 0.0:
-            raise ContractError(f"noise_std must be >= 0, got {self.noise_std}")
+        for name in ("noise_std", "blob_std"):
+            if getattr(self, name) < 0.0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.warmup_epochs < 1:
             raise ContractError("warmup_epochs must be >= 1")
         if self.covi_epochs < 0:
@@ -323,7 +324,7 @@ def train_ratio_learner(
     for step in range(2000):
         if step == 1500:
             opt_phi.lr = 0.01
-        backward(dc.neg(emp_learner_loss(p, batcher.next_batch())))
+        backward(dc.neg(emp_learner_loss(p, batcher.next_batch())[0]))
         opt_phi.step()
     return p
 
@@ -399,7 +400,7 @@ def covi_step(
 
     # phase 1: ratio-learner ascent, theta frozen
     with _overflow_diverges("ratio-learner ascent", step, cfg, p):
-        loss_phi, zs, zt = emp_learner_loss(p, batch, return_features=True)
+        loss_phi, zs, zt = emp_learner_loss(p, batch)
     _check_finite(loss_phi.item(), "ratio-learner ascent", step, cfg, p)
     backward(dc.neg(loss_phi))
     opt_phi.step()
@@ -433,7 +434,7 @@ def covi_step(
     # or from one forward when the phase is off
     if cfg.w_emp > 0:
         yt_hat = Tensor(one_hot_argmax(classify_np(p, zt), p.n_classes))
-        loss, z_star = emp_mixup_loss(p, batch, lam_star, yt_hat, return_logits=True)
+        loss, z_star = emp_mixup_loss(p, batch, lam_star, yt_hat)
         ent_at_star = float(np.mean(dc.entropy_rows_np(z_star)))
         r_mix = theta_update(loss, cfg.w_emp, "worst-case mixup")
         del loss, z_star
@@ -452,7 +453,7 @@ def covi_step(
         )
         ct_keep = pairs.n_kept / batch.m
         yt_hat = Tensor(one_hot_argmax(zt, p.n_classes))
-        loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys, yt_hat, return_logits=True)
+        loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys, yt_hat)
         agreement = swap_agreement_of(z_sd, z_td)
         r_ct = theta_update(loss, cfg.w_ct, "contrastive")
         del loss, z_sd, z_td

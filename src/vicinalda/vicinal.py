@@ -47,11 +47,6 @@ class RatioVector:
         return self.values.shape[0]
 
 
-def ratios(values) -> RatioVector:
-    """RatioVector from raw values."""
-    return RatioVector(values)
-
-
 def mix_np(xs: np.ndarray, xt: np.ndarray, lam) -> np.ndarray:
     """Plain-array mix (1 - lam) * xs + lam * xt with one ratio, a column
     of per-row ratios, or a stack of ratios that broadcasts against the
@@ -95,7 +90,7 @@ def brute_force_emp(p: ModelParams, batch: DomainBatch) -> RatioVector:
     """Exhaustive per-pair entropy-maximizing grid ratio; ties take the
     lower ratio. The oracle the learned ratio head is judged against."""
     table = grid_entropy_table(p, batch)
-    return ratios(RATIO_GRID[np.argmax(table, axis=1)])
+    return RatioVector(RATIO_GRID[np.argmax(table, axis=1)])
 
 
 def maximality_violations(p: ModelParams, batch: DomainBatch) -> int:
@@ -121,7 +116,7 @@ def ratio_agreement(learned: np.ndarray, oracle: np.ndarray) -> tuple[float, flo
 def emp_argmax_of(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> RatioVector:
     """Hard argmax over the learner's grid logits of source/target feature
     pairs; constant, no gradient. Ties take the lower grid index."""
-    return ratios(RATIO_GRID[np.argmax(emp_forward_np(p, zs, zt), axis=1)])
+    return RatioVector(RATIO_GRID[np.argmax(emp_forward_np(p, zs, zt), axis=1)])
 
 
 def emp_argmax(p: ModelParams, batch: DomainBatch) -> RatioVector:
@@ -146,7 +141,7 @@ def grid_profile_target(table: np.ndarray) -> np.ndarray:
     return dc.softmax_np(standardized / GRID_TEMPERATURE)
 
 
-def emp_learner_loss(p: ModelParams, batch: DomainBatch, *, return_features: bool = False):
+def emp_learner_loss(p: ModelParams, batch: DomainBatch) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Ratio-learner objective, to be MAXIMIZED in phi with theta frozen.
 
     Gibbs variational form of per-pair entropy maximization over the grid:
@@ -163,15 +158,15 @@ def emp_learner_loss(p: ModelParams, batch: DomainBatch, *, return_features: boo
     p_k * (grid_k - lam), an exponential-family tilt that parks the hard
     argmax at a grid endpoint while only the expectation tracks the peak.
 
-    With return_features, returns `(loss, zs, zt)`: the encoder features of
-    batch.xs and batch.xt the learner read. A phi step leaves them valid,
-    so they serve every later forward of these rows at this theta.
+    Returns `(loss, zs, zt)`, zs and zt the encoder features of batch.xs
+    and batch.xt the learner read. A phi step leaves them valid, so they
+    serve every later forward of these rows at this theta.
     """
     table = grid_entropy_table(p, batch)  # constants w.r.t. phi
     target = grid_profile_target(table)
     zs, zt = encode_np(p, batch.xs.data), encode_np(p, batch.xt.data)
     loss = dc.neg(dc.cross_entropy(emp_forward(p, Tensor(zs), Tensor(zt)), target))
-    return (loss, zs, zt) if return_features else loss
+    return loss, zs, zt
 
 
 def emp_mixup_loss(
@@ -179,18 +174,16 @@ def emp_mixup_loss(
     batch: DomainBatch,
     lam_star: RatioVector,
     yt_hat: Tensor,
-    *,
-    return_logits: bool = False,
-):
+) -> tuple[Tensor, np.ndarray]:
     """Worst-case vicinal risk for theta: cross entropy of the mix at the
     learned worst-case ratios against correspondingly mixed labels.
 
     lam_star is treated as a constant; `yt_hat`, the one-hot argmax
     predictions on batch.xt at this theta, carries no gradient, so the
-    gradient reaches theta only. With return_logits, returns `(loss, z)`,
-    z the logits of the mix the loss tapes.
+    gradient reaches theta only. Returns `(loss, z)`, z the logits of the
+    mix the loss tapes.
     """
     x_mix = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
     z = logits_of(p, Tensor(x_mix))
     loss = dc.cross_entropy(z, mix_labels(batch.ys, yt_hat, lam_star))
-    return (loss, z.data) if return_logits else loss
+    return loss, z.data

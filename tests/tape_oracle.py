@@ -6,8 +6,9 @@ The package tapes each network as one fused node (`model.logits_of`,
 `model.emp_forward`). The tests hold those nodes to the unfused chain
 below, matmul -> add -> relu as separate nodes, and reduce graphs to a
 scalar with `tsum`/`tmean` for the finite-difference oracle. The `plain_*`
-forwards allocate every temporary fresh; the model's forwards, which write
-into reused scratch arrays, are held to their bits.
+forwards allocate every temporary fresh; the model's forwards, which
+rectify in place and write row blocks into one output, are held to their
+bits.
 """
 
 import numpy as np
@@ -61,8 +62,8 @@ def unfused_emp_forward(p, zs, zt):
 
 
 # Plain-array forwards with every temporary fresh and nothing written in
-# place but the bias add. The model's forwards, which write into scratch
-# arrays and rectify in place, must give these bits.
+# place but the bias add. The model's forwards, which write row blocks into
+# one output and rectify in place, must give these bits.
 
 
 def plain_affine(x, w, b):

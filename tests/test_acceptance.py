@@ -42,6 +42,7 @@ from vicinalda.trainer import (
     warmup,
 )
 from vicinalda.vicinal import (
+    RatioVector,
     brute_force_emp,
     emp_argmax,
     emp_learner_loss,
@@ -49,7 +50,6 @@ from vicinalda.vicinal import (
     maximality_violations,
     mix_identities_hold,
     ratio_agreement,
-    ratios,
 )
 
 from tape_oracle import copy_params, dominance_fractions, pseudo_labels
@@ -188,7 +188,7 @@ def test_criterion_1_gradient_correctness():
     def make_mixup(seed):
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=seed)
         batch = random_batch(np.random.default_rng(seed), m=6)
-        lam = ratios(np.random.default_rng(seed + 1).integers(0, 11, 6) / 10.0)
+        lam = RatioVector(np.random.default_rng(seed + 1).integers(0, 11, 6) / 10.0)
         return p, batch, lam
 
     def mixup_margin(trial):
@@ -198,7 +198,7 @@ def test_criterion_1_gradient_correctness():
     for p, batch, lam in _stable_trials(make_mixup, mixup_margin, 5, start_seed=0):
         params = p.theta_params()
         yt_hat = pseudo_labels(p, batch.xt)
-        fn = lambda: emp_mixup_loss(p, batch, lam, yt_hat)
+        fn = lambda: emp_mixup_loss(p, batch, lam, yt_hat)[0]
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 
@@ -208,14 +208,14 @@ def test_criterion_1_gradient_correctness():
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=10 + trial)
         batch = random_batch(rng)
         params = p.phi_params()
-        fn = lambda: emp_learner_loss(p, batch)
+        fn = lambda: emp_learner_loss(p, batch)[0]
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 
     def make_contrastive(seed):
         p = init_model(d=3, n_classes=3, feat_dim=4, hidden=5, hidden_g=6, seed=seed)
         batch = random_batch(np.random.default_rng(seed), m=8)
-        pairs = build_contrastive_pairs(batch, ratios(np.full(8, 0.5)), 0.1, np.ones(8, bool))
+        pairs = build_contrastive_pairs(batch, RatioVector(np.full(8, 0.5)), 0.1, np.ones(8, bool))
         return p, batch, pairs
 
     def contrastive_margin(trial):
@@ -229,7 +229,7 @@ def test_criterion_1_gradient_correctness():
     for p, batch, pairs in _stable_trials(make_contrastive, contrastive_margin, 5, start_seed=20):
         yt_hat = pseudo_labels(p, batch.xt)
         params = p.theta_params()
-        fn = lambda: contrastive_loss(p, pairs, batch.ys, yt_hat)
+        fn = lambda: contrastive_loss(p, pairs, batch.ys, yt_hat)[0]
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 

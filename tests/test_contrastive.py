@@ -15,7 +15,7 @@ from vicinalda.contrastive import (
     top2_of,
 )
 from vicinalda.model import init_model, logits_of, one_hot_argmax
-from vicinalda.vicinal import mix_np, ratios
+from vicinalda.vicinal import RatioVector, mix_np
 
 from tape_oracle import dominance_fractions, pseudo_labels
 from test_vicinal import random_batch
@@ -66,7 +66,7 @@ class TestBuildPairs:
     def test_views_at_expected_ratios(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, m=1)
-        pair = build_contrastive_pairs(batch, ratios([0.5]), 0.2, np.array([True]))
+        pair = build_contrastive_pairs(batch, RatioVector([0.5]), 0.2, np.array([True]))
         assert pair.n_kept == 1
         expected_sd = 0.7 * batch.xs.data + 0.3 * batch.xt.data
         expected_td = 0.3 * batch.xs.data + 0.7 * batch.xt.data
@@ -76,14 +76,14 @@ class TestBuildPairs:
     def test_out_of_range_pair_dropped(self):
         rng = np.random.default_rng(2)
         batch = random_batch(rng, m=1)
-        pair = build_contrastive_pairs(batch, ratios([0.95]), 0.2, np.array([True]))
+        pair = build_contrastive_pairs(batch, RatioVector([0.95]), 0.2, np.array([True]))
         assert pair.n_kept == 0
 
     def test_kept_set_matches_brute_force_filter(self):
         rng = np.random.default_rng(3)
         m = 40
         batch = random_batch(rng, m=m)
-        lam = ratios(rng.integers(0, 11, m) / 10.0)
+        lam = RatioVector(rng.integers(0, 11, m) / 10.0)
         mask = rng.uniform(0, 1, m) > 0.3
         omega = 0.1
         pair = build_contrastive_pairs(batch, lam, omega, mask)
@@ -100,7 +100,7 @@ class TestBuildPairs:
     def test_space_bounds_are_configurable(self):
         rng = np.random.default_rng(4)
         batch = random_batch(rng, m=4)
-        lam = ratios([0.2, 0.5, 0.8, 0.5])
+        lam = RatioVector([0.2, 0.5, 0.8, 0.5])
         mask = np.ones(4, bool)
         pair = build_contrastive_pairs(batch, lam, 0.1, mask, space_sd=0.3, space_td=0.7)
         assert list(pair.kept_indices) == [1, 3]
@@ -110,7 +110,7 @@ class TestBuildPairs:
         batch = random_batch(rng, m=2)
         for omega in (0.0, 0.5, -0.1):
             with pytest.raises(ContractError):
-                build_contrastive_pairs(batch, ratios([0.5, 0.5]), omega, np.ones(2, bool))
+                build_contrastive_pairs(batch, RatioVector([0.5, 0.5]), omega, np.ones(2, bool))
 
 
 class TestTop2:
@@ -142,7 +142,7 @@ class TestContrastiveLoss:
     def build(self, rng, m=10, omega=0.1, lam_values=None, seed=0):
         p = init_model(d=3, n_classes=3, seed=seed)
         batch = random_batch(rng, m=m)
-        lam = ratios(lam_values if lam_values is not None else np.full(m, 0.5))
+        lam = RatioVector(lam_values if lam_values is not None else np.full(m, 0.5))
         pair = build_contrastive_pairs(batch, lam, omega, np.ones(m, bool))
         yt_hat = pseudo_labels(p, batch.xt)
         return p, batch, pair, yt_hat
@@ -150,8 +150,9 @@ class TestContrastiveLoss:
     def test_empty_pairs_zero_loss_no_gradient(self):
         rng = np.random.default_rng(7)
         p, batch, _, yt_hat = self.build(rng)
-        pair = build_contrastive_pairs(batch, ratios(np.ones(batch.m)), 0.1, np.ones(batch.m, bool))
-        loss = contrastive_loss(p, pair, batch.ys, yt_hat)
+        lam = RatioVector(np.ones(batch.m))
+        pair = build_contrastive_pairs(batch, lam, 0.1, np.ones(batch.m, bool))
+        loss = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
         assert loss.item() == 0.0
         assert loss.requires_grad is False
 
@@ -170,7 +171,7 @@ class TestContrastiveLoss:
     def test_matches_formula_recomputation(self):
         rng = np.random.default_rng(9)
         p, batch, pair, yt_hat = self.build(rng, m=12)
-        loss = contrastive_loss(p, pair, batch.ys, yt_hat)
+        loss = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
 
         def softmax(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -192,7 +193,7 @@ class TestContrastiveLoss:
     def test_gradient_reaches_theta_only(self):
         rng = np.random.default_rng(10)
         p, batch, pair, yt_hat = self.build(rng)
-        backward(contrastive_loss(p, pair, batch.ys, yt_hat))
+        backward(contrastive_loss(p, pair, batch.ys, yt_hat)[0])
         assert all(t.grad is not None for t in p.theta_params())
         assert all(t.grad is None for t in p.phi_params())
 
@@ -221,26 +222,26 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(16)
         p = init_model(d=3, n_classes=3, seed=4)
         batch = random_batch(rng, m=6)
-        lam = ratios(np.full(6, 0.5))
+        lam = RatioVector(np.full(6, 0.5))
         x_view = Tensor(mix_np(batch.xs.data, batch.xt.data, lam.values[:, None]))
         pairs = ContrastivePair(
             x_sd=x_view, x_td=x_view, lam_sd=lam, lam_td=lam,
             kept_indices=np.arange(6),
         )
-        loss = contrastive_loss(p, pairs, batch.ys, pseudo_labels(p, batch.xt))
+        loss = contrastive_loss(p, pairs, batch.ys, pseudo_labels(p, batch.xt))[0]
         assert np.isfinite(loss.item())
         assert loss.item() >= 0.0
 
     def test_masked_pair_leaves_others_contribution_unchanged(self):
         rng = np.random.default_rng(12)
         p, batch, pair, yt_hat = self.build(rng, m=5)
-        full = contrastive_loss(p, pair, batch.ys, yt_hat)
+        full = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
         mask = np.ones(5, bool)
         mask[pair.kept_indices[0]] = False
         reduced_pair = build_contrastive_pairs(
-            batch, ratios(np.full(5, 0.5)), 0.1, mask
+            batch, RatioVector(np.full(5, 0.5)), 0.1, mask
         )
-        reduced = contrastive_loss(p, reduced_pair, batch.ys, yt_hat)
+        reduced = contrastive_loss(p, reduced_pair, batch.ys, yt_hat)[0]
         # recompute full loss from per-pair contributions of the reduced set
         k_full, k_red = pair.n_kept, reduced_pair.n_kept
         assert k_red == k_full - 1
@@ -268,7 +269,7 @@ class TestDiagnosticsHelpers:
         rng = np.random.default_rng(13)
         p = init_model(d=3, n_classes=3, seed=1)
         batch = random_batch(rng, m=20)
-        pair = build_contrastive_pairs(batch, ratios(np.full(20, 0.5)), 0.1, np.ones(20, bool))
+        pair = build_contrastive_pairs(batch, RatioVector(np.full(20, 0.5)), 0.1, np.ones(20, bool))
         rate = swap_agreement(p, pair)
         assert 0.0 <= rate <= 1.0
 
@@ -277,7 +278,7 @@ class TestDiagnosticsHelpers:
         rng = np.random.default_rng(14)
         p = init_model(d=2, n_classes=2, seed=2)
         batch = random_batch(rng, m=30, d=2, n=2)
-        pair = build_contrastive_pairs(batch, ratios(np.full(30, 0.5)), 0.1, np.ones(30, bool))
+        pair = build_contrastive_pairs(batch, RatioVector(np.full(30, 0.5)), 0.1, np.ones(30, bool))
         f_sd, f_td = dominance_fractions(p, pair, batch.ys)
         assert 0.0 <= f_sd <= 1.0 and 0.0 <= f_td <= 1.0
 

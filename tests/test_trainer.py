@@ -103,7 +103,7 @@ def configs(draw):
         blob_classes=draw(st.integers(2, 10**6)),
         blob_dim=draw(st.integers(2, 10**6)),
         blob_shift=draw(finite_floats()),
-        blob_std=draw(finite_floats()),
+        blob_std=draw(finite_floats(min_value=0.0)),
         batch_size=draw(st.integers(1, n)),
         warmup_epochs=draw(st.integers(1, 10**6)),
         covi_epochs=draw(st.integers(0, 10**6)),
@@ -190,6 +190,7 @@ class TestConfig:
             (dict(dataset="blobs", blob_dim=1), "blob_dim must be >= 2, got 1"),
             (dict(noise_std=-1.0), "noise_std must be >= 0, got -1.0"),
             (dict(n_per_domain=3, batch_size=2), "n_per_domain must be >= 4, got 3"),
+            (dict(dataset="blobs", blob_std=-0.5), "blob_std must be >= 0, got -0.5"),
         ],
     )
     def test_bad_dimensions_refused_before_any_output(self, tmp_path, kw, message):
@@ -368,7 +369,7 @@ class TestCoviStep:
         # manual replay of the four phases on the snapshot
         opt_theta = SGD(q.theta_params(), cfg.lr, cfg.momentum)
         opt_phi = SGD(q.phi_params(), cfg.phi_lr, cfg.momentum)
-        loss_phi = emp_learner_loss(q, batch)
+        loss_phi = emp_learner_loss(q, batch)[0]
         backward(dc.neg(loss_phi))
         opt_phi.step()
         for _, t in q.named_params():
@@ -376,7 +377,7 @@ class TestCoviStep:
         lam_star = emp_argmax(q, batch)
         x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
         ent_at_star = float(np.mean(dc.entropy_rows_np(logits_of(q, Tensor(x_star)).data)))
-        mix_loss = emp_mixup_loss(q, batch, lam_star, pseudo_labels(q, batch.xt))
+        mix_loss = emp_mixup_loss(q, batch, lam_star, pseudo_labels(q, batch.xt))[0]
         r_mix = mix_loss.item()
         backward(mix_loss * cfg.w_emp)
         opt_theta.step()
@@ -385,7 +386,7 @@ class TestCoviStep:
         mask = confidence_mask(target_top1_probs(q, batch.xt), cfg.alpha)
         pairs = build_contrastive_pairs(batch, lam_star, cfg.omega, mask)
         agreement = swap_agreement(q, pairs)
-        ct = contrastive_loss(q, pairs, batch.ys, pseudo_labels(q, batch.xt))
+        ct = contrastive_loss(q, pairs, batch.ys, pseudo_labels(q, batch.xt))[0]
         r_ct = ct.item()
         backward(ct * cfg.w_ct)
         opt_theta.step()
@@ -526,7 +527,7 @@ class TestCoviStep:
         opt_theta = SGD(p.theta_params(), cfg.lr, cfg.momentum)
         opt_phi = SGD(p.phi_params(), cfg.phi_lr, cfg.momentum)
         loss = dc.cross_entropy(logits_of(p, batch.xs), batch.ys)
-        backward(dc.neg(emp_learner_loss(p, batch)))
+        backward(dc.neg(emp_learner_loss(p, batch)[0]))
         opt_phi.step()
         backward(loss)
         opt_theta.step()
