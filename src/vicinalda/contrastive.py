@@ -92,17 +92,16 @@ def build_contrastive_pairs(
     lam_star: RatioVector,
     omega: float,
     mask: np.ndarray,
-    space_sd: float = 0.0,
-    space_td: float = 1.0,
 ) -> ContrastivePair:
-    """Drop pairs whose shifted ratios leave [space_sd, space_td] or whose
-    confidence mask is false; mix both views for the survivors."""
+    """Keep the pairs whose shifted ratios lam* - omega and lam* + omega
+    stay within [0, 1] and whose confidence mask is true; mix both views
+    for the survivors."""
     if not 0.0 < omega < 0.5:
         raise ContractError(f"omega must lie in (0, 0.5), got {omega}")
     lam = lam_star.values
     lam_sd_all = lam - omega
     lam_td_all = lam + omega
-    keep = (lam_sd_all >= space_sd) & (lam_td_all <= space_td) & np.asarray(mask, dtype=bool)
+    keep = (lam_sd_all >= 0.0) & (lam_td_all <= 1.0) & np.asarray(mask, dtype=bool)
     idx = np.nonzero(keep)[0]
 
     xs = batch.xs.data[idx]

@@ -37,7 +37,6 @@ from .domains import (
     make_two_moons_pair,
 )
 from .model import (
-    RATIO_GRID,
     ModelParams,
     atomic_open,
     classify_np,
@@ -48,6 +47,15 @@ from .model import (
     save_checkpoint,
 )
 from .vicinal import emp_argmax_of, emp_learner_loss, emp_mixup_loss, mix_np
+
+
+# per TrainConfig field type: the parser of its config text, the types its
+# value may hold, and its name in errors
+_FIELD_KINDS = {
+    "int": (int, int, "an integer"),
+    "float": (float, (int, float), "a number"),
+    "str": (str, str, "a string"),
+}
 
 
 @dataclass
@@ -72,23 +80,22 @@ class TrainConfig:
     alpha: float = 2.0
     beta: float = 2.0
     lam_p: float = 0.1
-    lam_p_adaptive: bool = False
     w_emp: float = 1.0
     w_ct: float = 1.0
     w_cs: float = 1.0
-    space_sd: float = 0.0
-    space_td: float = 1.0
     feat_dim: int = 32
     hidden: int = 64
     hidden_g: int = 64
-    checkpoint_every: int = 0
-    summed_theta_update: bool = False
     seed: int = 0
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            _, kinds, noun = _FIELD_KINDS[f.type]
+            # bool is an int subclass, but True is no seed or epoch count
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ContractError(f"config key {f.name}: expected {noun}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"config key {f.name} must be finite, got {value}")
         if self.dataset not in ("two_moons", "blobs"):
@@ -103,15 +110,6 @@ class TrainConfig:
             raise ContractError("loss weights must be >= 0")
         if not 0.0 <= self.lam_p <= 0.5:
             raise ContractError(f"lam_p must lie in [0, 0.5], got {self.lam_p}")
-        sd, td = self.space_sd, self.space_td
-        if not (0.0 <= sd <= 1.0 and 0.0 <= td <= 1.0):
-            raise ContractError(f"space_sd and space_td must lie in [0, 1], got {sd} and {td}")
-        # build_contrastive_pairs' comparisons; with no grid ratio inside, phase 3 would be off
-        if not ((RATIO_GRID - self.omega >= sd) & (RATIO_GRID + self.omega <= td)).any():
-            raise ContractError(
-                f"no grid ratio r has r - omega >= space_sd and r + omega <= space_td "
-                f"(omega {self.omega}, space_sd {sd}, space_td {td})"
-            )
         # the bounds the generators and init_model enforce, checked here so
         # that a refused run writes nothing under out_dir
         for name, low in (("n_per_domain", 4), ("blob_classes", 2), ("blob_dim", 2),
@@ -127,10 +125,10 @@ class TrainConfig:
             raise ContractError("covi_epochs must be >= 0")
         if self.batch_size < 1 or self.batch_size > self.n_per_domain:
             raise ContractError("batch_size must lie in [1, n_per_domain]")
-        if self.checkpoint_every < 0:
-            raise ContractError("checkpoint_every must be >= 0")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if not self.out_dir:
+            raise ContractError("out_dir must not be empty")
         # config_echo must reproduce the run, so out_dir has to survive its
         # `key = value` line (parse_config_text strips and splits lines)
         if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
@@ -138,20 +136,11 @@ class TrainConfig:
 
 
 def _coerce(field: dataclasses.Field, raw: str, key: str):
-    for kind, parse, noun in (("int", int, "an integer"), ("float", float, "a number")):
-        if field.type in (kind, parse):
-            try:
-                return parse(raw)
-            except ValueError:
-                raise ContractError(f"config key {key}: expected {noun}, got {raw!r}") from None
-    if field.type in ("bool", bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ContractError(f"config key {key}: expected a boolean, got {raw!r}")
-    return raw
+    parse, _, noun = _FIELD_KINDS[field.type]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ContractError(f"config key {key}: expected {noun}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -290,13 +279,6 @@ def _steps_per_epoch(ds: DomainPairDataset, m: int) -> int:
     return int(np.ceil(ds.n_source / m))
 
 
-def adaptive_lam_p(lam_p: float, mean_lambda_star: float, omega: float) -> float:
-    """Clamp the source perturbation so the perturbed views stay outside the
-    contrastive band: their target fraction 1 - lam_p must not fall below
-    mean lambda* + omega."""
-    return min(lam_p, max(0.0, 1.0 - (mean_lambda_star + omega)))
-
-
 def warmup(
     p: ModelParams, ds: DomainPairDataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> ModelParams:
@@ -386,10 +368,10 @@ def covi_step(
     """One four-phase adaptation step on one batch.
 
     Phase 1 always runs and updates phi only. Phases 2-4 update theta and
-    are gated by their weights; with summed_theta_update they share one
-    backward+step on the same pre-step theta. Each optimizer step clears
-    its own group's gradients, and no phase writes the other group's, so
-    every phase starts from cleared gradients.
+    are gated by their weights; each enabled theta phase runs its own
+    backward and optimizer step on the theta the previous one left. Each
+    optimizer step clears its own group's gradients, and no phase writes
+    the other group's, so every phase starts from cleared gradients.
 
     Theta does not move before phase 2, so phase 1's encoder features also
     give lambda* and phase 2's pseudo labels; the r_emp entropy and the swap
@@ -416,17 +398,13 @@ def covi_step(
     ct_keep = 0.0
     cs_keep = 0.0
     agreement = 0.0
-    pending: list[Tensor] = []
 
     def theta_update(loss: Tensor, weight: float, phase: str) -> float:
         value = loss.item()
         _check_finite(value, phase, step, cfg, p)
-        if weight > 0 and loss.requires_grad:
-            if cfg.summed_theta_update:
-                pending.append(loss * weight)
-            else:
-                backward(loss * weight)
-                opt_theta.step()
+        if loss.requires_grad:
+            backward(loss * weight)
+            opt_theta.step()
         return value
 
     # phase 2: worst-case mixup descent. The r_emp metric takes the adversary's
@@ -448,9 +426,7 @@ def covi_step(
         zt = forward_np(p, batch.xt.data)
         with _overflow_diverges("contrastive", step, cfg, p):
             mask = confidence_mask(top1_probs(zt), cfg.alpha)
-        pairs = build_contrastive_pairs(
-            batch, lam_star, cfg.omega, mask, cfg.space_sd, cfg.space_td
-        )
+        pairs = build_contrastive_pairs(batch, lam_star, cfg.omega, mask)
         ct_keep = pairs.n_kept / batch.m
         yt_hat = Tensor(one_hot_argmax(zt, p.n_classes))
         loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys, yt_hat)
@@ -459,21 +435,11 @@ def covi_step(
         del loss, z_sd, z_td
 
     if cfg.w_cs > 0:
-        lam_p = cfg.lam_p
-        if cfg.lam_p_adaptive:
-            lam_p = adaptive_lam_p(lam_p, mean_lambda, cfg.omega)
-        views = make_views(batch, lam_p, views_rng)
+        views = make_views(batch, cfg.lam_p, views_rng)
         with _overflow_diverges("consensus", step, cfg, p):
             keep = consensus_keep_mask(p, views, cfg.beta)
         cs_keep = float(keep.mean())
         r_cs = theta_update(consensus_loss(p, views, keep), cfg.w_cs, "consensus")
-
-    if pending:
-        total = pending[0]
-        for extra in pending[1:]:
-            total = total + extra
-        backward(total)
-        opt_theta.step()
 
     src_acc, tgt_acc = evaluate(p, ds)
     return MetricsRow(
@@ -499,20 +465,15 @@ def run_covi_epochs(
     batcher: DomainBatcher,
     views_rng: np.random.Generator,
     writer=None,
-    on_epoch_end=None,
 ) -> list[MetricsRow]:
-    """The adaptation epochs; used by train() and by warm-restart tests."""
+    """The adaptation epochs, each row also written to `writer` when one is
+    given; used by train() and by warm-restart tests."""
     rows: list[MetricsRow] = []
-    step = 0
-    for epoch in range(cfg.covi_epochs):
-        for _ in range(_steps_per_epoch(ds, cfg.batch_size)):
-            row = covi_step(p, batcher.next_batch(), cfg, opt_theta, opt_phi, views_rng, ds, step)
-            rows.append(row)
-            if writer is not None:
-                writer.write(row.csv_line() + "\n")
-            step += 1
-        if on_epoch_end is not None:
-            on_epoch_end(epoch)
+    for step in range(cfg.covi_epochs * _steps_per_epoch(ds, cfg.batch_size)):
+        row = covi_step(p, batcher.next_batch(), cfg, opt_theta, opt_phi, views_rng, ds, step)
+        rows.append(row)
+        if writer is not None:
+            writer.write(row.csv_line() + "\n")
     return rows
 
 
@@ -536,17 +497,7 @@ def train(cfg: TrainConfig) -> tuple[ModelParams, str]:
         opt_phi = SGD(p.phi_params(), lr=cfg.phi_lr, momentum=cfg.momentum)
         batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
         views_rng = np.random.default_rng(seeds.views)
-
-        def on_epoch_end(epoch: int) -> None:
-            if cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    p, os.path.join(cfg.out_dir, f"checkpoint_epoch_{epoch + 1:04d}.ckpt")
-                )
-
-        run_covi_epochs(
-            p, ds, cfg, opt_theta, opt_phi, batcher, views_rng,
-            writer=metrics_fh, on_epoch_end=on_epoch_end,
-        )
+        run_covi_epochs(p, ds, cfg, opt_theta, opt_phi, batcher, views_rng, writer=metrics_fh)
         save_checkpoint(p, os.path.join(cfg.out_dir, "checkpoint_final.ckpt"))
     finally:
         metrics_fh.close()

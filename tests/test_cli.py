@@ -79,12 +79,24 @@ class TestUsageErrors:
         assert "hidden must be >= 1" in res.stderr
         assert not (out / "metrics.csv").exists()
 
-    def test_space_bounds_without_a_grid_ratio_exit_2_without_metrics(self, tmp_path):
+    @pytest.mark.parametrize("how,key", [("set", "summed_theta_update"),
+                                         ("config", "checkpoint_every")])
+    def test_removed_keys_exit_2_without_metrics(self, tmp_path, how, key):
         out = tmp_path / "run"
-        res = run_cli("train", "--set", "space_sd=0.9", "--set", "space_td=0.1", "--out", str(out))
+        if how == "set":
+            res = run_cli("train", "--set", f"{key}=true", "--out", str(out))
+        else:
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"{key} = 1\n")
+            res = run_cli("train", "--config", str(cfg), "--out", str(out))
         assert res.returncode == 2
-        assert "no grid ratio" in res.stderr
+        assert f"unknown config key {key!r}" in res.stderr
         assert not (out / "metrics.csv").exists()
+
+    def test_empty_out_exits_2(self):
+        res = run_cli("train", "--out", "")
+        assert res.returncode == 2
+        assert "out_dir must not be empty" in res.stderr
 
     @pytest.mark.parametrize("how,key", [("set", "batch_size"), ("config", "seed")])
     def test_malformed_number_exits_2_naming_the_key(self, tmp_path, how, key):

@@ -97,14 +97,6 @@ class TestBuildPairs:
             assert 0.0 <= pair.lam_sd.values[row] < lam.values[i]
             assert lam.values[i] < pair.lam_td.values[row] <= 1.0
 
-    def test_space_bounds_are_configurable(self):
-        rng = np.random.default_rng(4)
-        batch = random_batch(rng, m=4)
-        lam = RatioVector([0.2, 0.5, 0.8, 0.5])
-        mask = np.ones(4, bool)
-        pair = build_contrastive_pairs(batch, lam, 0.1, mask, space_sd=0.3, space_td=0.7)
-        assert list(pair.kept_indices) == [1, 3]
-
     def test_bad_omega_rejected(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, m=2)

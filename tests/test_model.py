@@ -311,8 +311,8 @@ def two_view_loss(logits, p, rng, m):
 
 
 def five_view_loss(logits, p, rng, m):
-    # summed_theta_update-style: mixup, both contrastive views and both
-    # consensus views (row-gathered) in one weighted sum
+    # all three theta phases' views: mixup, both contrastive views and
+    # both consensus views (row-gathered) in one weighted sum
     xs = [Tensor(rng.normal(size=(m, p.d))) for _ in range(5)]
     ys = [one_hot_rows(rng, m, p.n_classes) for _ in range(5)]
     kept = np.nonzero(rng.uniform(size=m) > 0.3)[0]

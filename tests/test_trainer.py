@@ -19,7 +19,6 @@ from vicinalda.contrastive import (
 )
 from vicinalda.domains import DomainBatcher
 from vicinalda.model import (
-    RATIO_GRID,
     init_model,
     load_checkpoint,
     logits_of,
@@ -29,7 +28,6 @@ from vicinalda.trainer import (
     MetricsRow,
     TrainConfig,
     TrainingDiverged,
-    adaptive_lam_p,
     build_config,
     config_echo,
     covi_step,
@@ -71,19 +69,6 @@ def setup_run(cfg):
     return ds, p, seeds
 
 
-def first_step(cfg):
-    """The first adaptation step after warm-up: its row and theta checksum."""
-    ds, p, seeds = setup_run(cfg)
-    batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
-    row = covi_step(
-        p, batcher.next_batch(), cfg,
-        SGD(p.theta_params(), cfg.lr, cfg.momentum),
-        SGD(p.phi_params(), cfg.phi_lr, cfg.momentum),
-        np.random.default_rng(seeds.views), ds, 0,
-    )
-    return row, params_checksum(p.theta_params())
-
-
 def finite_floats(**bounds):
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
@@ -92,9 +77,6 @@ def finite_floats(**bounds):
 def configs(draw):
     """TrainConfigs whose numeric fields pass validate(); out_dir is any text."""
     n = draw(st.integers(4, 10**6))
-    omega = draw(finite_floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
-    # the space bounds admit at least the grid ratio r
-    r = draw(st.sampled_from([float(v) for v in RATIO_GRID if v - omega >= 0 and v + omega <= 1]))
     return TrainConfig(
         dataset=draw(st.sampled_from(["two_moons", "blobs"])),
         n_per_domain=n,
@@ -110,21 +92,16 @@ def configs(draw):
         lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
         phi_lr=draw(finite_floats(min_value=0.0, exclude_min=True)),
         momentum=draw(finite_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
-        omega=omega,
+        omega=draw(finite_floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)),
         alpha=draw(finite_floats()),
         beta=draw(finite_floats()),
         lam_p=draw(finite_floats(min_value=0.0, max_value=0.5)),
-        lam_p_adaptive=draw(st.booleans()),
         w_emp=draw(finite_floats(min_value=0.0)),
         w_ct=draw(finite_floats(min_value=0.0)),
         w_cs=draw(finite_floats(min_value=0.0)),
-        space_sd=draw(finite_floats(min_value=0.0, max_value=r - omega)),
-        space_td=draw(finite_floats(min_value=r + omega, max_value=1.0)),
         feat_dim=draw(st.integers(1, 10**6)),
         hidden=draw(st.integers(1, 10**6)),
         hidden_g=draw(st.integers(1, 10**6)),
-        checkpoint_every=draw(st.integers(0, 10**6)),
-        summed_theta_update=draw(st.booleans()),
         seed=draw(st.integers(0, 2**70)),
         out_dir=draw(st.text()),
     )
@@ -140,11 +117,10 @@ class TestConfig:
 
     def test_build_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("lr = 0.02\nomega = 0.2\nsummed_theta_update = true\n")
+        path.write_text("lr = 0.02\nomega = 0.2\n")
         cfg = build_config(str(path), overrides=["lr=0.03"], out_dir="/tmp/x", seed=9)
         assert cfg.lr == 0.03
         assert cfg.omega == 0.2
-        assert cfg.summed_theta_update is True
         assert cfg.out_dir == "/tmp/x"
         assert cfg.seed == 9
 
@@ -174,7 +150,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("lr", "nan"), ("rotation_deg", "nan"), ("noise_std", "inf"), ("alpha", "nan"),
-         ("phi_lr", "-inf"), ("blob_shift", "inf"), ("beta", "nan"), ("space_td", "nan")],
+         ("phi_lr", "-inf"), ("blob_shift", "inf"), ("beta", "nan")],
     )
     def test_non_finite_values_rejected(self, key, value):
         with pytest.raises(ContractError, match=f"{key} must be finite"):
@@ -200,23 +176,14 @@ class TestConfig:
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
-        "space_sd,space_td,message",
-        [
-            (0.9, 0.1, "no grid ratio"),
-            (0.05, 0.28, "no grid ratio"),
-            # 0.2 + 0.1 is 0.30000000000000004, as build_contrastive_pairs computes it
-            (0.1, 0.3, "no grid ratio"),
-            (-1.0, 2.0, r"must lie in \[0, 1\]"),
-            (0.0, 1.5, r"must lie in \[0, 1\]"),
-        ],
+        "key,value,noun",
+        [("covi_epochs", 1.5, "an integer"), ("seed", True, "an integer"),
+         ("lr", "0.1", "a number")],
     )
-    def test_space_bounds_that_switch_phase_3_off_refused(self, space_sd, space_td, message):
-        with pytest.raises(ContractError, match=message):
-            TrainConfig(space_sd=space_sd, space_td=space_td).validate()
-
-    @pytest.mark.parametrize("space_sd,space_td", [(0.0, 1.0), (0.3, 0.7), (0.1, 0.4)])
-    def test_space_bounds_around_a_grid_ratio_accepted(self, space_sd, space_td):
-        TrainConfig(space_sd=space_sd, space_td=space_td).validate()
+    def test_wrong_type_refused_before_any_output(self, tmp_path, key, value, noun):
+        with pytest.raises(ContractError, match=f"config key {key}: expected {noun}"):
+            train(tiny_cfg(out_dir=str(tmp_path), **{key: value}))
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=configs())
@@ -411,11 +378,10 @@ class TestCoviStep:
         assert row.agreement == agreement
         assert (row.source_acc, row.target_acc) == evaluate(q, ds)
 
-    @pytest.mark.parametrize("summed", [False, True], ids=["sequential", "summed"])
-    def test_step_leaves_no_gradient_behind(self, summed):
+    def test_step_leaves_no_gradient_behind(self):
         # each optimizer step clears its own group, and no phase writes the
         # other group's gradients, so nothing is left for the next step
-        cfg = tiny_cfg(summed_theta_update=summed)
+        cfg = tiny_cfg()
         ds, p, seeds = setup_run(cfg)
         batcher = DomainBatcher(ds, cfg.batch_size, np.random.default_rng(seeds.covi_batches))
         covi_step(
@@ -425,39 +391,6 @@ class TestCoviStep:
             np.random.default_rng(seeds.views), ds, 0,
         )
         assert [name for name, t in p.named_params() if t.grad is not None] == []
-
-    def test_summed_update_differs_but_is_deterministic(self):
-        results = [
-            first_step(tiny_cfg(summed_theta_update=summed)) for summed in (False, True, True)
-        ]
-        assert results[1] == results[2]
-        assert results[0][1] != results[1][1]
-
-    def test_adaptive_lam_p_clamp(self):
-        # band has room: the configured value stands
-        assert adaptive_lam_p(0.1, 0.5, 0.1) == 0.1
-        # target-heavy lambda*: perturbation must shrink to stay outside
-        assert adaptive_lam_p(0.3, 0.8, 0.1) == pytest.approx(0.1)
-        # no room at all: perturbation vanishes
-        assert adaptive_lam_p(0.2, 1.0, 0.1) == 0.0
-
-    def test_adaptive_mode_runs_end_to_end(self):
-        # lam_p = 0.5 leaves the perturbed views inside the contrastive band
-        # once mean lambda* > 0.4; the adaptive run must clamp it there
-        (row_fixed, theta_fixed), (row, theta) = [
-            first_step(tiny_cfg(lam_p_adaptive=adaptive, lam_p=0.5)) for adaptive in (False, True)
-        ]
-        assert np.isfinite(row.r_cs)
-        assert row.mean_lambda_star == row_fixed.mean_lambda_star
-        assert adaptive_lam_p(0.5, row.mean_lambda_star, tiny_cfg().omega) < 0.5
-        assert row.r_cs != row_fixed.r_cs
-        assert theta != theta_fixed
-
-    def test_narrowed_space_drops_contrastive_pairs(self):
-        row_full, _ = first_step(tiny_cfg())
-        row, _ = first_step(tiny_cfg(space_sd=0.3, space_td=0.7))
-        assert row.mean_lambda_star == row_full.mean_lambda_star
-        assert 0.0 < row.ct_keep < row_full.ct_keep
 
     def test_nan_params_abort_with_diagnostic(self, tmp_path):
         cfg = tiny_cfg(out_dir=str(tmp_path))
@@ -583,12 +516,6 @@ class TestTrain:
             train(cfg)
         assert not (tmp_path / "checkpoint_warmup.ckpt").exists()
         assert "after warm-up" in (tmp_path / "diverged_step_0.txt").read_text()
-
-    def test_checkpoint_every_epoch_writes_files(self, tmp_path):
-        cfg = tiny_cfg(covi_epochs=2, checkpoint_every=1, out_dir=str(tmp_path))
-        train(cfg)
-        assert (tmp_path / "checkpoint_epoch_0001.ckpt").exists()
-        assert (tmp_path / "checkpoint_epoch_0002.ckpt").exists()
 
     def test_warm_restart_reproduces_trajectory(self, tmp_path):
         cfg = tiny_cfg(out_dir=str(tmp_path / "full"))
