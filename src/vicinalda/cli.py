@@ -176,7 +176,7 @@ def _check_gradients(rng) -> bool:
             xt=Tensor(rng.normal(size=(4, 3))),
         )
         lam = RatioVector(rng.uniform(0.1, 0.9, 4))
-        yt_hat = Tensor(dc.one_hot(rng.integers(0, 3, 4), 3))
+        yt_hat = dc.one_hot(rng.integers(0, 3, 4), 3)
         for fn, params in (
             (lambda: emp_mixup_loss(p, batch, lam, yt_hat)[0], p.theta_params()),
             (lambda: emp_learner_loss(p, batch)[0], p.phi_params()),

@@ -25,9 +25,9 @@ from .vicinal import mix_np
 class ConsensusViews:
     """The two perturbed views plus what is needed to mask them."""
 
-    x_v1: Tensor
-    x_v2: Tensor
-    xt: Tensor  # unmixed target rows; the confidence mask is computed on these
+    x_v1: np.ndarray
+    x_v2: np.ndarray
+    xt: np.ndarray  # unmixed target rows; the confidence mask is computed on these
 
 
 def make_views(batch: DomainBatch, lam_p: float, rng: np.random.Generator) -> ConsensusViews:
@@ -38,9 +38,9 @@ def make_views(batch: DomainBatch, lam_p: float, rng: np.random.Generator) -> Co
     xs, xt = batch.xs.data, batch.xt.data
     # lam_p is the source fraction, so the target rows go first
     return ConsensusViews(
-        x_v1=Tensor(mix_np(xt, xs, lam_p)),
-        x_v2=Tensor(mix_np(xt, xs[shuffle], lam_p)),
-        xt=Tensor(xt),
+        x_v1=mix_np(xt, xs, lam_p),
+        x_v2=mix_np(xt, xs[shuffle], lam_p),
+        xt=xt,
     )
 
 

@@ -67,17 +67,17 @@ def top1_probs(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def target_top1_probs(p: ModelParams, xt: Tensor) -> np.ndarray:
+def target_top1_probs(p: ModelParams, xt: np.ndarray) -> np.ndarray:
     """Top-1 softmax probability of each unmixed target row."""
-    return top1_probs(forward_np(p, xt.data))
+    return top1_probs(forward_np(p, xt))
 
 
 @dataclass(frozen=True)
 class ContrastivePair:
     """Both views of the kept pairs, built from the same (xs_i, xt_i)."""
 
-    x_sd: Tensor
-    x_td: Tensor
+    x_sd: np.ndarray
+    x_td: np.ndarray
     lam_sd: RatioVector
     lam_td: RatioVector
     kept_indices: np.ndarray
@@ -109,8 +109,8 @@ def build_contrastive_pairs(
     lam_sd = RatioVector(lam_sd_all[idx])
     lam_td = RatioVector(lam_td_all[idx])
     return ContrastivePair(
-        x_sd=Tensor(mix_np(xs, xt, lam_sd.values[:, None])),
-        x_td=Tensor(mix_np(xs, xt, lam_td.values[:, None])),
+        x_sd=mix_np(xs, xt, lam_sd.values[:, None]),
+        x_td=mix_np(xs, xt, lam_td.values[:, None]),
         lam_sd=lam_sd,
         lam_td=lam_td,
         kept_indices=idx,
@@ -137,8 +137,8 @@ def top2_of(logits: np.ndarray) -> Top2:
 def contrastive_loss(
     p: ModelParams,
     pairs: ContrastivePair,
-    ys: Tensor,
-    yt_hat: Tensor,
+    ys: np.ndarray,
+    yt_hat: np.ndarray,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Sum of the two swapped-label risks over the kept pairs.
 
@@ -158,8 +158,8 @@ def contrastive_loss(
     top1_sd = one_hot_argmax(z_sd.data, n)
     top1_td = one_hot_argmax(z_td.data, n)
 
-    label_td = mix_np(top1_sd, yt_hat.data[idx], pairs.lam_td.values[:, None])
-    label_sd = mix_np(ys.data[idx], top1_td, pairs.lam_sd.values[:, None])
+    label_td = mix_np(top1_sd, yt_hat[idx], pairs.lam_td.values[:, None])
+    label_sd = mix_np(ys[idx], top1_td, pairs.lam_sd.values[:, None])
     loss = dc.cross_entropy(z_td, label_td) + dc.cross_entropy(z_sd, label_sd)
     return loss, z_sd.data, z_td.data
 
@@ -178,5 +178,5 @@ def swap_agreement_of(z_sd: np.ndarray, z_td: np.ndarray) -> float:
 # swap_agreement_of on the logits its loss tapes
 def swap_agreement(p: ModelParams, pairs: ContrastivePair) -> float:
     """`swap_agreement_of` the kept pairs' views at this theta."""
-    return swap_agreement_of(forward_np(p, pairs.x_sd.data), forward_np(p, pairs.x_td.data))
+    return swap_agreement_of(forward_np(p, pairs.x_sd), forward_np(p, pairs.x_td))
 

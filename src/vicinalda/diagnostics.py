@@ -19,7 +19,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ContractError
 from .domains import DomainPairDataset
-from .model import RATIO_GRID, ModelParams, atomic_open, grid_logits
+from .model import RATIO_GRID, ModelParams, atomic_open
+from .vicinal import grid_logits
 
 DEFAULT_SWEEP_SAMPLES = 256
 

@@ -74,23 +74,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __rsub__(self, other):
-        return add(other, neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -173,15 +158,12 @@ def matmul(a, b) -> Tensor:
     return tape_node(out, (a, b), vjp)
 
 
-def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """x @ w + b on plain arrays, the bias added in place, written into
-    `out` when given (a C-contiguous [m x n] array the caller owns) and into
-    a fresh array otherwise. Every affine layer, taped or not, computes
-    this, so both forwards agree bit for bit: an in-place add rounds
-    exactly like a fresh one, and BLAS runs the same product whether numpy
-    or the caller allocated its output."""
-    a = np.matmul(x, w, out=out)
+def affine_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b on plain arrays, the bias added in place on the fresh
+    product. Every affine layer, taped or not, computes this, so both
+    forwards agree bit for bit: an in-place add rounds exactly like a
+    fresh one."""
+    a = x @ w
     a += b
     return a
 
@@ -252,11 +234,11 @@ def cross_entropy(logits, target) -> Tensor:
     """Batch-mean cross entropy against one-hot or soft label rows.
 
     Computes mean_i of -sum_k target_ik * log(max(p_ik, eps)) with
-    p = softmax(logits). The target is treated as a constant: no gradient
-    flows into it even if it is a tracked tensor.
+    p = softmax(logits). The target is a constant array of label rows; no
+    gradient flows into it.
     """
     a = _as_tensor(logits)
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if a.data.shape != t.shape:
         raise ShapeError(f"logits {a.shape} and target {t.shape} shapes disagree")
     _check_label_rows(t)

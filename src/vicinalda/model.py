@@ -135,44 +135,35 @@ else:
     _mallopt(-3, 4 * 1024 * 1024)
 
 
-def _constant(x: Tensor) -> np.ndarray:
-    # the network nodes compute no input gradient; a tracked input would lose its own
-    if x.requires_grad:
-        raise ContractError("model forwards take constant inputs, got a tracked tensor")
-    return x.data
+def _mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The two-layer stack of both networks, taped or not: the hidden
+    activations h = ReLU(x @ w1 + b1) and the output h @ w2 + b2."""
+    h = relu_np(affine_np(x, w1, b1))
+    return h, affine_np(h, w2, b2)
 
 
-def _hidden_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ReLU(x @ w + b) and its `pre-activation > 0` mask; the mask is taken
-    before the ReLU runs in place."""
-    h = affine_np(x, w, b)
-    mask = h > 0.0
-    return relu_np(h), mask
+def _mlp_vjp(g: np.ndarray, x: np.ndarray, h: np.ndarray, w2: np.ndarray) -> tuple:
+    """The gradients of `_mlp`'s w1, b1, w2 and b2 for output gradient g.
+    The ReLU mask is `h > 0`: `relu_np` maps nan and -0.0 to +0.0, so it
+    equals the `pre-activation > 0` mask everywhere."""
+    gh = g @ w2.T
+    gh *= h > 0.0
+    return x.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
 
 
-def _hidden_vjp(g: np.ndarray, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(g @ w.T) * mask, the multiply in place."""
-    gh = g @ w.T
-    gh *= mask
-    return gh
-
-
-def logits_of(p: ModelParams, x: Tensor) -> Tensor:
+def logits_of(p: ModelParams, x: np.ndarray) -> Tensor:
     """Class logits of constant inputs, as one tape node whose parents are
     the theta parameters. The forward runs the steps of `forward_np`; the
-    VJP runs the three layer VJPs from last to first. The VJP holds the
+    VJP runs the layer VJPs from last to first. The VJP holds the
     activations until the node is released, so a graph can be
     backpropagated more than once."""
-    x = _constant(x)
     _check_inputs(p, x)
     w1, b1, w2, b2, wc, bc = (t.data for t in p.theta_params())
-    h, mask = _hidden_layer(x, w1, b1)
-    z = affine_np(h, w2, b2)
+    h, z = _mlp(x, w1, b1, w2, b2)
 
     def vjp(g):
-        gz = g @ wc.T
-        gh = _hidden_vjp(gz, w2, mask)
-        return x.T @ gh, gh.sum(axis=0), h.T @ gz, gz.sum(axis=0), z.T @ g, g.sum(axis=0)
+        return *_mlp_vjp(g @ wc.T, x, h, w2), z.T @ g, g.sum(axis=0)
 
     return tape_node(affine_np(z, wc, bc), tuple(p.theta_params()), vjp)
 
@@ -184,19 +175,14 @@ def _pair(zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return np.concatenate([zs, zt], axis=1)
 
 
-def emp_forward(p: ModelParams, zs: Tensor, zt: Tensor) -> Tensor:
+def emp_forward(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> Tensor:
     """Grid logits for each pair of constant source/target features, one
     row per pair, as one tape node whose parents are the phi parameters.
     Its VJP holds the activations, as in `logits_of`."""
-    pair = _pair(_constant(zs), _constant(zt))
+    pair = _pair(zs, zt)
     w1, b1, w2, b2 = (t.data for t in p.phi_params())
-    h, mask = _hidden_layer(pair, w1, b1)
-
-    def vjp(g):
-        gh = _hidden_vjp(g, w2, mask)
-        return pair.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
-
-    return tape_node(affine_np(h, w2, b2), tuple(p.phi_params()), vjp)
+    h, out = _mlp(pair, w1, b1, w2, b2)
+    return tape_node(out, tuple(p.phi_params()), lambda g: _mlp_vjp(g, pair, h, w2))
 
 
 # Rows per block of the tape-free forward. Blocks keep each BLAS call at the
@@ -230,32 +216,22 @@ def _row_blocks(m: int):
         start = stop
 
 
-def _by_row_blocks(fn, width: int, x: np.ndarray) -> np.ndarray:
-    """fn(block, out) over row blocks of x, each writing its rows of a
-    fresh [m x width] output; one block gets out=None, so fn allocates."""
+def _by_row_blocks(fn, x: np.ndarray) -> np.ndarray:
+    """fn over the row blocks of x, the block results stacked in order."""
     m = x.shape[0]
     if m <= FORWARD_BLOCK_ROWS + 1:
-        return fn(x, None)
-    out = np.empty((m, width))
-    for rows in _row_blocks(m):
-        fn(x[rows], out[rows])
-    return out
+        return fn(x)
+    return np.concatenate([fn(x[rows]) for rows in _row_blocks(m)])
 
 
-# The plain-array layers run the steps of the taped nodes (diffcore.affine_np,
-# diffcore.relu_np), so both forwards agree bit for bit. Each writes its
-# result into `out` (None: a fresh array).
-def _encode_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    h = relu_np(affine_np(x, p.enc_w1.data, p.enc_b1.data))
-    return affine_np(h, p.enc_w2.data, p.enc_b2.data, out)
+# The plain-array forwards run the steps of the taped nodes (`_mlp`, then
+# the classifier's diffcore.affine_np), so both agree bit for bit.
+def _encode_rows(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    return _mlp(x, p.enc_w1.data, p.enc_b1.data, p.enc_w2.data, p.enc_b2.data)[1]
 
 
-def _classify_rows(p: ModelParams, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return affine_np(z, p.cls_w.data, p.cls_b.data, out)
-
-
-def _logits_rows(p: ModelParams, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return _classify_rows(p, _encode_rows(p, x, None), out)
+def _classify_rows(p: ModelParams, z: np.ndarray) -> np.ndarray:
+    return affine_np(z, p.cls_w.data, p.cls_b.data)
 
 
 def _check_inputs(p: ModelParams, x: np.ndarray) -> None:
@@ -267,7 +243,7 @@ def encode_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Tape-free encoder features: the hidden and feature layers of
     `forward_np`, without the classifier."""
     _check_inputs(p, x)
-    return _by_row_blocks(lambda xb, out: _encode_rows(p, xb, out), p.feat_dim, x)
+    return _by_row_blocks(lambda xb: _encode_rows(p, xb), x)
 
 
 def classify_np(p: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -276,7 +252,7 @@ def classify_np(p: ModelParams, z: np.ndarray) -> np.ndarray:
     `classify_np(p, encode_np(p, x))` has the bits of `forward_np(p, x)`."""
     if z.ndim != 2 or z.shape[1] != p.feat_dim:
         raise ShapeError(f"features must be [m x {p.feat_dim}], got {z.shape}")
-    return _by_row_blocks(lambda zb, out: _classify_rows(p, zb, out), p.n_classes, z)
+    return _by_row_blocks(lambda zb: _classify_rows(p, zb), z)
 
 
 def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -288,24 +264,7 @@ def forward_np(p: ModelParams, x: np.ndarray) -> np.ndarray:
     default and the wide (16 -> 256 -> 64 -> 5) shapes up to 2000 rows.
     """
     _check_inputs(p, x)
-    return _by_row_blocks(lambda xb, out: _logits_rows(p, xb, out), p.n_classes, x)
-
-
-def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Class logits of every source/target pair mixed at every grid ratio,
-    shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
-    ratio k. One stacked forward, with the same elementwise mix as one
-    forward per ratio. A row keeps the bits of its per-ratio forward where
-    BLAS sums it alike in both: always when m is the forward block, since
-    each ratio is then one block, and otherwise as measured (OpenBLAS,
-    x86-64) at the default shape for every m that is a multiple of 4, as
-    the default batch of 64 is, and at the wide shape for every m tried,
-    the wide batch of 512 included.
-    """
-    grid = RATIO_GRID[:, None, None]
-    # vicinal.mix_np's two products and their sum
-    mixes = (1.0 - grid) * xs + grid * xt
-    return forward_np(p, mixes.reshape(-1, xs.shape[1]))
+    return _by_row_blocks(lambda xb: _classify_rows(p, _encode_rows(p, xb)), x)
 
 
 def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -316,8 +275,7 @@ def emp_forward_np(p: ModelParams, zs: np.ndarray, zt: np.ndarray) -> np.ndarray
     count (past about 1500 rows a block and the whole matrix round apart).
     """
     pair = _pair(zs, zt)
-    h = relu_np(affine_np(pair, p.emp_w1.data, p.emp_b1.data))
-    return affine_np(h, p.emp_w2.data, p.emp_b2.data)
+    return _mlp(pair, p.emp_w1.data, p.emp_b1.data, p.emp_w2.data, p.emp_b2.data)[1]
 
 
 def one_hot_argmax(logits: np.ndarray, n_classes: int) -> np.ndarray:

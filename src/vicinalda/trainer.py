@@ -290,7 +290,7 @@ def warmup(
     for _ in range(cfg.warmup_epochs):
         for _ in range(_steps_per_epoch(ds, cfg.batch_size)):
             batch = batcher.next_batch()
-            backward(dc.cross_entropy(logits_of(p, batch.xs), batch.ys))
+            backward(dc.cross_entropy(logits_of(p, batch.xs.data), batch.ys.data))
             opt.step()
     return p
 
@@ -411,7 +411,7 @@ def covi_step(
     # achieved entropy at the chosen ratios from the logits the mixup tapes,
     # or from one forward when the phase is off
     if cfg.w_emp > 0:
-        yt_hat = Tensor(one_hot_argmax(classify_np(p, zt), p.n_classes))
+        yt_hat = one_hot_argmax(classify_np(p, zt), p.n_classes)
         loss, z_star = emp_mixup_loss(p, batch, lam_star, yt_hat)
         ent_at_star = float(np.mean(dc.entropy_rows_np(z_star)))
         r_mix = theta_update(loss, cfg.w_emp, "worst-case mixup")
@@ -428,8 +428,8 @@ def covi_step(
             mask = confidence_mask(top1_probs(zt), cfg.alpha)
         pairs = build_contrastive_pairs(batch, lam_star, cfg.omega, mask)
         ct_keep = pairs.n_kept / batch.m
-        yt_hat = Tensor(one_hot_argmax(zt, p.n_classes))
-        loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys, yt_hat)
+        yt_hat = one_hot_argmax(zt, p.n_classes)
+        loss, z_sd, z_td = contrastive_loss(p, pairs, batch.ys.data, yt_hat)
         agreement = swap_agreement_of(z_sd, z_td)
         r_ct = theta_update(loss, cfg.w_ct, "contrastive")
         del loss, z_sd, z_td

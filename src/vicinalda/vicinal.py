@@ -22,7 +22,7 @@ from .model import (
     emp_forward,
     emp_forward_np,
     encode_np,
-    grid_logits,
+    forward_np,
     logits_of,
 )
 
@@ -64,9 +64,19 @@ def mix_identities_hold(xs: np.ndarray, xt: np.ndarray) -> bool:
             and np.array_equal(mid, [[1.0, 1.0]]))
 
 
-def mix_labels(ys: Tensor, yt_hat: Tensor, lam: RatioVector) -> Tensor:
-    """Soft labels (1 - lam) * ys + lam * yt_hat; constant, no gradient."""
-    return Tensor(mix_np(ys.data, yt_hat.data, lam.values[:, None]))
+def grid_logits(p: ModelParams, xs: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Class logits of every source/target pair mixed at every grid ratio,
+    shape [11m x n_classes], ratio-major: rows k*m to (k+1)*m - 1 hold
+    ratio k. One stacked forward of `mix_np`'s mixes at all ratios. A row
+    keeps the bits of its per-ratio forward where BLAS sums it alike in
+    both: always when m is the forward block, since each ratio is then one
+    block, and otherwise as measured (OpenBLAS, x86-64) at the default
+    shape for every m that is a multiple of 4, as the default batch of 64
+    is, and at the wide shape for every m tried, the wide batch of 512
+    included.
+    """
+    mixes = mix_np(xs, xt, RATIO_GRID[:, None, None])
+    return forward_np(p, mixes.reshape(-1, xs.shape[1]))
 
 
 def grid_entropy_table(p: ModelParams, batch: DomainBatch) -> np.ndarray:
@@ -99,7 +109,7 @@ def maximality_violations(p: ModelParams, batch: DomainBatch) -> int:
     lam = brute_force_emp(p, batch)
     xs, xt = batch.xs.data, batch.xt.data
     table = np.stack(
-        [dc.entropy_rows_np(logits_of(p, Tensor(mix_np(xs, xt, g))).data) for g in RATIO_GRID],
+        [dc.entropy_rows_np(logits_of(p, mix_np(xs, xt, g)).data) for g in RATIO_GRID],
         axis=1,
     )
     chosen = table[np.arange(batch.m), (lam.values * 10).round().astype(int)]
@@ -165,7 +175,7 @@ def emp_learner_loss(p: ModelParams, batch: DomainBatch) -> tuple[Tensor, np.nda
     table = grid_entropy_table(p, batch)  # constants w.r.t. phi
     target = grid_profile_target(table)
     zs, zt = encode_np(p, batch.xs.data), encode_np(p, batch.xt.data)
-    loss = dc.neg(dc.cross_entropy(emp_forward(p, Tensor(zs), Tensor(zt)), target))
+    loss = dc.neg(dc.cross_entropy(emp_forward(p, zs, zt), target))
     return loss, zs, zt
 
 
@@ -173,7 +183,7 @@ def emp_mixup_loss(
     p: ModelParams,
     batch: DomainBatch,
     lam_star: RatioVector,
-    yt_hat: Tensor,
+    yt_hat: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
     """Worst-case vicinal risk for theta: cross entropy of the mix at the
     learned worst-case ratios against correspondingly mixed labels.
@@ -183,7 +193,7 @@ def emp_mixup_loss(
     gradient reaches theta only. Returns `(loss, z)`, z the logits of the
     mix the loss tapes.
     """
-    x_mix = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
-    z = logits_of(p, Tensor(x_mix))
-    loss = dc.cross_entropy(z, mix_labels(batch.ys, yt_hat, lam_star))
+    lam = lam_star.values[:, None]
+    z = logits_of(p, mix_np(batch.xs.data, batch.xt.data, lam))
+    loss = dc.cross_entropy(z, mix_np(batch.ys.data, yt_hat, lam))
     return loss, z.data

@@ -4,11 +4,12 @@ the acceptance criteria read, and the pseudo labels the loss tests pass in.
 
 The package tapes each network as one fused node (`model.logits_of`,
 `model.emp_forward`). The tests hold those nodes to the unfused chain
-below, matmul -> add -> relu as separate nodes, and reduce graphs to a
-scalar with `tsum`/`tmean` for the finite-difference oracle. The `plain_*`
-forwards allocate every temporary fresh; the model's forwards, which
-rectify in place and write row blocks into one output, are held to their
-bits.
+below, matmul -> add -> relu as separate nodes whose ReLU gradient keeps
+the `pre-activation > 0` mask, and reduce graphs to a scalar with
+`tsum`/`tmean` for the finite-difference oracle. The `plain_*` forwards
+allocate every temporary fresh; the model's forwards, which rectify in
+place, take the ReLU mask from the rectified activations and stack their
+row blocks with one concatenate, are held to their bits.
 """
 
 import numpy as np
@@ -56,14 +57,14 @@ def unfused_logits_of(p, x):
 
 
 def unfused_emp_forward(p, zs, zt):
-    pair = Tensor(np.concatenate([zs.data, zt.data], axis=1))
+    pair = np.concatenate([zs, zt], axis=1)
     h = relu(dc.matmul(pair, p.emp_w1) + p.emp_b1)
     return dc.matmul(h, p.emp_w2) + p.emp_b2
 
 
 # Plain-array forwards with every temporary fresh and nothing written in
-# place but the bias add. The model's forwards, which write row blocks into
-# one output and rectify in place, must give these bits.
+# place but the bias add. The model's forwards, which rectify in place,
+# must give these bits.
 
 
 def plain_affine(x, w, b):
@@ -128,9 +129,9 @@ def copy_params(p: ModelParams) -> ModelParams:
     return ModelParams(**tensors, **p.dims(), seed=p.seed)
 
 
-def pseudo_labels(p: ModelParams, xt: Tensor) -> Tensor:
-    """One-hot argmax predictions on target rows; constant, no gradient."""
-    return Tensor(one_hot_argmax(forward_np(p, xt.data), p.n_classes))
+def pseudo_labels(p: ModelParams, xt: np.ndarray) -> np.ndarray:
+    """One-hot argmax predictions on target rows, a constant array."""
+    return one_hot_argmax(forward_np(p, xt), p.n_classes)
 
 
 def dominance_fractions(p, pairs, ys) -> tuple[float, float]:
@@ -138,7 +139,7 @@ def dominance_fractions(p, pairs, ys) -> tuple[float, float]:
     for the source-dominant and target-dominant views respectively."""
     if pairs.n_kept == 0:
         return 0.0, 0.0
-    src_label = ys.data[pairs.kept_indices].argmax(axis=1)
-    top_sd = forward_np(p, pairs.x_sd.data).argmax(axis=1)
-    top_td = forward_np(p, pairs.x_td.data).argmax(axis=1)
+    src_label = ys[pairs.kept_indices].argmax(axis=1)
+    top_sd = forward_np(p, pairs.x_sd).argmax(axis=1)
+    top_td = forward_np(p, pairs.x_td).argmax(axis=1)
     return float(np.mean(top_sd == src_label)), float(np.mean(top_td == src_label))

@@ -193,11 +193,11 @@ def test_criterion_1_gradient_correctness():
 
     def mixup_margin(trial):
         p, batch, _ = trial
-        return _top2_gap(logits_of(p, batch.xt).data)
+        return _top2_gap(logits_of(p, batch.xt.data).data)
 
     for p, batch, lam in _stable_trials(make_mixup, mixup_margin, 5, start_seed=0):
         params = p.theta_params()
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         fn = lambda: emp_mixup_loss(p, batch, lam, yt_hat)[0]
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
@@ -223,13 +223,13 @@ def test_criterion_1_gradient_correctness():
         return min(
             _top2_gap(logits_of(p, pairs.x_sd).data),
             _top2_gap(logits_of(p, pairs.x_td).data),
-            _top2_gap(logits_of(p, batch.xt).data),
+            _top2_gap(logits_of(p, batch.xt.data).data),
         )
 
     for p, batch, pairs in _stable_trials(make_contrastive, contrastive_margin, 5, start_seed=20):
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         params = p.theta_params()
-        fn = lambda: contrastive_loss(p, pairs, batch.ys, yt_hat)[0]
+        fn = lambda: contrastive_loss(p, pairs, batch.ys.data, yt_hat)[0]
         assert_grads_close(run_backward(fn, params), finite_difference_grads(fn, params))
         checked += 1
 
@@ -352,20 +352,20 @@ def test_criterion_6_contrastive_identities(default_runs):
     warm, ds = run["warm"], run["ds"]
     batch = ds.head(256)
     lam_star = brute_force_emp(warm, batch)
-    mask = confidence_mask(target_top1_probs(warm, batch.xt), 2.0)
+    mask = confidence_mask(target_top1_probs(warm, batch.xt.data), 2.0)
     pairs = build_contrastive_pairs(batch, lam_star, 0.1, mask)
 
-    yt_hat = pseudo_labels(warm, batch.xt)
+    yt_hat = pseudo_labels(warm, batch.xt.data)
     idx = pairs.kept_indices
     z_sd = logits_of(warm, pairs.x_sd).data
     z_td = logits_of(warm, pairs.x_td).data
     lam_td = pairs.lam_td.values[:, None]
     lam_sd = pairs.lam_sd.values[:, None]
-    label_td = lam_td * yt_hat.data[idx] + (1 - lam_td) * one_hot_argmax(z_sd, 2)
+    label_td = lam_td * yt_hat[idx] + (1 - lam_td) * one_hot_argmax(z_sd, 2)
     label_sd = (1 - lam_sd) * batch.ys.data[idx] + lam_sd * one_hot_argmax(z_td, 2)
     ok_sums = bool(np.all(label_td.sum(axis=1) == 1.0) and np.all(label_sd.sum(axis=1) == 1.0))
 
-    f_sd, f_td = dominance_fractions(warm, pairs, batch.ys)
+    f_sd, f_td = dominance_fractions(warm, pairs, batch.ys.data)
     ok_flip = pairs.n_kept > 0 and f_sd > f_td
     report(
         "criterion 6 (contrastive identities)",
@@ -389,7 +389,7 @@ def test_criterion_7_consensus_zero_perturbation():
         views = make_views(batch, 0.0, np.random.default_rng(seed))
         # beta 1e9 puts the threshold below every prob
         loss = consensus_loss(p, views, consensus_keep_mask(p, views, 1e9))
-        z_t = logits_of(p, batch.xt)
+        z_t = logits_of(p, batch.xt.data)
         self_training = dc.cross_entropy(z_t, one_hot_argmax(z_t.data, 3))
         worst_value_gap = max(worst_value_gap, abs(loss.item() - 2.0 * self_training.item()))
 
@@ -399,7 +399,7 @@ def test_criterion_7_consensus_zero_perturbation():
         grads_cs = [t.grad.copy() for t in q.theta_params()]
         for _, t in q.named_params():
             t.zero_grad()
-        z_t2 = logits_of(q, batch.xt)
+        z_t2 = logits_of(q, batch.xt.data)
         backward(dc.cross_entropy(z_t2, one_hot_argmax(z_t2.data, 3)))
         for gc, t in zip(grads_cs, q.theta_params()):
             worst_grad_gap = max(worst_grad_gap, float(np.max(np.abs(gc - 2.0 * t.grad))))

@@ -23,8 +23,8 @@ class TestMakeViews:
         rng = np.random.default_rng(0)
         batch = random_batch(rng, m=8)
         views = make_views(batch, 0.0, np.random.default_rng(1))
-        assert np.array_equal(views.x_v1.data, batch.xt.data)
-        assert np.array_equal(views.x_v2.data, batch.xt.data)
+        assert np.array_equal(views.x_v1, batch.xt.data)
+        assert np.array_equal(views.x_v2, batch.xt.data)
 
     def test_identity_shuffle_makes_views_equal(self):
         rng = np.random.default_rng(2)
@@ -35,7 +35,7 @@ class TestMakeViews:
                 return np.arange(n)
 
         views = make_views(batch, 0.3, IdentityRng())
-        assert np.array_equal(views.x_v1.data, views.x_v2.data)
+        assert np.array_equal(views.x_v1, views.x_v2)
 
     def test_per_row_decomposition(self):
         rng = np.random.default_rng(3)
@@ -44,8 +44,8 @@ class TestMakeViews:
         views = make_views(batch, lam_p, np.random.default_rng(4))
         shuffle = np.random.default_rng(4).permutation(6)
         # each view row = lam_p * (some source row) + (1-lam_p) * own target row
-        v1_src = (views.x_v1.data - (1 - lam_p) * batch.xt.data) / lam_p
-        v2_src = (views.x_v2.data - (1 - lam_p) * batch.xt.data) / lam_p
+        v1_src = (views.x_v1 - (1 - lam_p) * batch.xt.data) / lam_p
+        v2_src = (views.x_v2 - (1 - lam_p) * batch.xt.data) / lam_p
         assert np.allclose(v1_src, batch.xs.data, atol=1e-12)
         assert np.allclose(v2_src, batch.xs.data[shuffle], atol=1e-12)
 
@@ -56,8 +56,8 @@ class TestMakeViews:
         v2 = make_views(batch, 0.1, np.random.default_rng(9))
         shuffle = np.random.default_rng(9).permutation(16)
         assert sorted(shuffle) == list(range(16))
-        assert np.array_equal(v1.x_v2.data, mix_np(batch.xt.data, batch.xs.data[shuffle], 0.1))
-        assert np.array_equal(v1.x_v2.data, v2.x_v2.data)
+        assert np.array_equal(v1.x_v2, mix_np(batch.xt.data, batch.xs.data[shuffle], 0.1))
+        assert np.array_equal(v1.x_v2, v2.x_v2)
 
     def test_out_of_range_lam_p_rejected(self):
         batch = random_batch(np.random.default_rng(6), m=8)
@@ -97,7 +97,7 @@ class TestConsensusLoss:
         batch = random_batch(rng, m=12)
         views = make_views(batch, 0.0, np.random.default_rng(10))
         loss = consensus_loss(p, views, consensus_keep_mask(p, views, beta=1e6))  # keep all
-        z_t = logits_of(p, batch.xt)
+        z_t = logits_of(p, batch.xt.data)
         self_training = dc.cross_entropy(z_t, one_hot_argmax(z_t.data, 3))
         assert abs(loss.item() - 2.0 * self_training.item()) < 1e-10
 
@@ -110,7 +110,7 @@ class TestConsensusLoss:
         grads_consensus = [t.grad.copy() for t in p.theta_params()]
         for t in p.theta_params():
             t.zero_grad()
-        z_t = logits_of(p, batch.xt)
+        z_t = logits_of(p, batch.xt.data)
         backward(dc.cross_entropy(z_t, one_hot_argmax(z_t.data, 3)))
         for gc, t in zip(grads_consensus, p.theta_params()):
             assert np.max(np.abs(gc - 2.0 * t.grad)) < 1e-8

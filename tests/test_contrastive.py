@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vicinalda.diffcore import ContractError, Tensor, backward
+from vicinalda.diffcore import ContractError, backward
 from vicinalda import contrastive
 from vicinalda.contrastive import (
     build_contrastive_pairs,
@@ -70,8 +70,8 @@ class TestBuildPairs:
         assert pair.n_kept == 1
         expected_sd = 0.7 * batch.xs.data + 0.3 * batch.xt.data
         expected_td = 0.3 * batch.xs.data + 0.7 * batch.xt.data
-        assert np.allclose(pair.x_sd.data, expected_sd, atol=1e-15)
-        assert np.allclose(pair.x_td.data, expected_td, atol=1e-15)
+        assert np.allclose(pair.x_sd, expected_sd, atol=1e-15)
+        assert np.allclose(pair.x_td, expected_td, atol=1e-15)
 
     def test_out_of_range_pair_dropped(self):
         rng = np.random.default_rng(2)
@@ -136,7 +136,7 @@ class TestContrastiveLoss:
         batch = random_batch(rng, m=m)
         lam = RatioVector(lam_values if lam_values is not None else np.full(m, 0.5))
         pair = build_contrastive_pairs(batch, lam, omega, np.ones(m, bool))
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         return p, batch, pair, yt_hat
 
     def test_empty_pairs_zero_loss_no_gradient(self):
@@ -144,7 +144,7 @@ class TestContrastiveLoss:
         p, batch, _, yt_hat = self.build(rng)
         lam = RatioVector(np.ones(batch.m))
         pair = build_contrastive_pairs(batch, lam, 0.1, np.ones(batch.m, bool))
-        loss = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
+        loss = contrastive_loss(p, pair, batch.ys.data, yt_hat)[0]
         assert loss.item() == 0.0
         assert loss.requires_grad is False
 
@@ -155,7 +155,7 @@ class TestContrastiveLoss:
         lam_sd = pair.lam_sd.values[:, None]
         z_sd = logits_of(p, pair.x_sd).data
         z_td = logits_of(p, pair.x_td).data
-        label_td = lam_td * yt_hat.data[pair.kept_indices] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
+        label_td = lam_td * yt_hat[pair.kept_indices] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
         label_sd = (1 - lam_sd) * batch.ys.data[pair.kept_indices] + lam_sd * one_hot_argmax(z_td, 3)
         assert np.all(label_td.sum(axis=1) == 1.0)
         assert np.all(label_sd.sum(axis=1) == 1.0)
@@ -163,7 +163,7 @@ class TestContrastiveLoss:
     def test_matches_formula_recomputation(self):
         rng = np.random.default_rng(9)
         p, batch, pair, yt_hat = self.build(rng, m=12)
-        loss = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
+        loss = contrastive_loss(p, pair, batch.ys.data, yt_hat)[0]
 
         def softmax(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -174,7 +174,7 @@ class TestContrastiveLoss:
         z_td = logits_of(p, pair.x_td).data
         lam_sd = pair.lam_sd.values[:, None]
         lam_td = pair.lam_td.values[:, None]
-        label_td = lam_td * yt_hat.data[idx] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
+        label_td = lam_td * yt_hat[idx] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
         label_sd = (1 - lam_sd) * batch.ys.data[idx] + lam_sd * one_hot_argmax(z_td, 3)
         ce = lambda z, t: float(
             np.mean(-(t * np.log(np.maximum(softmax(z), 1e-12))).sum(axis=1))
@@ -185,7 +185,7 @@ class TestContrastiveLoss:
     def test_gradient_reaches_theta_only(self):
         rng = np.random.default_rng(10)
         p, batch, pair, yt_hat = self.build(rng)
-        backward(contrastive_loss(p, pair, batch.ys, yt_hat)[0])
+        backward(contrastive_loss(p, pair, batch.ys.data, yt_hat)[0])
         assert all(t.grad is not None for t in p.theta_params())
         assert all(t.grad is None for t in p.phi_params())
 
@@ -197,12 +197,12 @@ class TestContrastiveLoss:
         z_sd = logits_of(p, pair.x_sd).data
         z_td = logits_of(p, pair.x_td).data
         idx = pair.kept_indices
-        agree = (one_hot_argmax(z_td, 3).argmax(1) == yt_hat.data[idx].argmax(1)) & (
+        agree = (one_hot_argmax(z_td, 3).argmax(1) == yt_hat[idx].argmax(1)) & (
             one_hot_argmax(z_sd, 3).argmax(1) == batch.ys.data[idx].argmax(1)
         )
         lam_sd = pair.lam_sd.values[:, None]
         label_sd = (1 - lam_sd) * batch.ys.data[idx] + lam_sd * one_hot_argmax(z_td, 3)
-        plain = (1 - lam_sd) * batch.ys.data[idx] + lam_sd * yt_hat.data[idx]
+        plain = (1 - lam_sd) * batch.ys.data[idx] + lam_sd * yt_hat[idx]
         assert np.array_equal(label_sd[agree], plain[agree])
 
     def test_degenerate_margin_views_coincide(self):
@@ -215,25 +215,25 @@ class TestContrastiveLoss:
         p = init_model(d=3, n_classes=3, seed=4)
         batch = random_batch(rng, m=6)
         lam = RatioVector(np.full(6, 0.5))
-        x_view = Tensor(mix_np(batch.xs.data, batch.xt.data, lam.values[:, None]))
+        x_view = mix_np(batch.xs.data, batch.xt.data, lam.values[:, None])
         pairs = ContrastivePair(
             x_sd=x_view, x_td=x_view, lam_sd=lam, lam_td=lam,
             kept_indices=np.arange(6),
         )
-        loss = contrastive_loss(p, pairs, batch.ys, pseudo_labels(p, batch.xt))[0]
+        loss = contrastive_loss(p, pairs, batch.ys.data, pseudo_labels(p, batch.xt.data))[0]
         assert np.isfinite(loss.item())
         assert loss.item() >= 0.0
 
     def test_masked_pair_leaves_others_contribution_unchanged(self):
         rng = np.random.default_rng(12)
         p, batch, pair, yt_hat = self.build(rng, m=5)
-        full = contrastive_loss(p, pair, batch.ys, yt_hat)[0]
+        full = contrastive_loss(p, pair, batch.ys.data, yt_hat)[0]
         mask = np.ones(5, bool)
         mask[pair.kept_indices[0]] = False
         reduced_pair = build_contrastive_pairs(
             batch, RatioVector(np.full(5, 0.5)), 0.1, mask
         )
-        reduced = contrastive_loss(p, reduced_pair, batch.ys, yt_hat)[0]
+        reduced = contrastive_loss(p, reduced_pair, batch.ys.data, yt_hat)[0]
         # recompute full loss from per-pair contributions of the reduced set
         k_full, k_red = pair.n_kept, reduced_pair.n_kept
         assert k_red == k_full - 1
@@ -247,7 +247,7 @@ class TestContrastiveLoss:
 
         lam_td = pair.lam_td.values[:, None]
         lam_sd = pair.lam_sd.values[:, None]
-        label_td = lam_td * yt_hat.data[pair.kept_indices] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
+        label_td = lam_td * yt_hat[pair.kept_indices] + (1 - lam_td) * one_hot_argmax(z_sd, 3)
         label_sd = (1 - lam_sd) * batch.ys.data[pair.kept_indices] + lam_sd * one_hot_argmax(z_td, 3)
         per_pair = -(label_td * np.log(np.maximum(softmax(z_td), 1e-12))).sum(axis=1) - (
             label_sd * np.log(np.maximum(softmax(z_sd), 1e-12))
@@ -271,12 +271,12 @@ class TestDiagnosticsHelpers:
         p = init_model(d=2, n_classes=2, seed=2)
         batch = random_batch(rng, m=30, d=2, n=2)
         pair = build_contrastive_pairs(batch, RatioVector(np.full(30, 0.5)), 0.1, np.ones(30, bool))
-        f_sd, f_td = dominance_fractions(p, pair, batch.ys)
+        f_sd, f_td = dominance_fractions(p, pair, batch.ys.data)
         assert 0.0 <= f_sd <= 1.0 and 0.0 <= f_td <= 1.0
 
     def test_target_top1_probs_in_unit_interval(self):
         rng = np.random.default_rng(15)
         p = init_model(d=3, n_classes=4, seed=3)
         batch = random_batch(rng, m=10, n=4)
-        probs = target_top1_probs(p, batch.xt)
+        probs = target_top1_probs(p, batch.xt.data)
         assert np.all((probs >= 0.25 - 1e-12) & (probs <= 1.0))

@@ -13,7 +13,7 @@ from vicinalda.diagnostics import (
     lambda_sweep,
     write_sweep_csv,
 )
-from vicinalda.diffcore import ContractError, Tensor
+from vicinalda.diffcore import ContractError
 from vicinalda import diffcore as dc
 from vicinalda.model import RATIO_GRID, forward_np, init_model, logits_of
 from vicinalda.trainer import TrainConfig, derive_seeds, make_dataset, warmup
@@ -40,13 +40,13 @@ class TestLambdaSweep:
         ds, p = trained_setup()
         rows = lambda_sweep(p, ds, n_samples=128)
         # lambda 0: pure source rows, source dominance = accuracy there
-        src_pred = logits_of(p, Tensor(ds.source_x.data[:128])).data.argmax(axis=1)
+        src_pred = logits_of(p, ds.source_x.data[:128]).data.argmax(axis=1)
         src_label = ds.source_y.data[:128].argmax(axis=1)
         assert rows[0].lam == 0.0
         assert rows[0].source_dom == float(np.mean(src_pred == src_label))
         # lambda 1: pure (offset-paired) target rows
         tgt_idx = (np.arange(128) + 1) % 128
-        tgt_pred = logits_of(p, Tensor(ds.target_x.data[tgt_idx])).data.argmax(axis=1)
+        tgt_pred = logits_of(p, ds.target_x.data[tgt_idx]).data.argmax(axis=1)
         tgt_label = ds.target_y_eval.data[tgt_idx].argmax(axis=1)
         assert rows[-1].lam == 1.0
         assert rows[-1].target_dom == float(np.mean(tgt_pred == tgt_label))

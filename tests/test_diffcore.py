@@ -285,7 +285,7 @@ def random_small_graph(rng):
     b2 = Tensor(rng.normal(scale=0.1, size=n), requires_grad=True)
     net = init_model(d=d, n_classes=n, feat_dim=4, hidden=5, seed=int(rng.integers(2**32)))
     mix_w = Tensor(rng.normal(scale=0.5, size=(n, n)))
-    x = Tensor(rng.normal(size=(m, d)))
+    x = rng.normal(size=(m, d))
     extra = Tensor(rng.normal(size=(m, n)))
     t = dc.softmax_np(rng.normal(size=(m, n)))  # soft labels, rows sum to 1
     idx = rng.integers(0, m, size=m)
@@ -297,8 +297,9 @@ def random_small_graph(rng):
         net_z = logits_of(net, x)
         gathered = dc.take_rows(z + net_z, idx)
         logits = matmul(gathered + extra * 0.5, mix_w)
-        ce = cross_entropy(logits, t) + 0.5 * cross_entropy(net_z, t)
-        return ce + 0.01 * tmean(w2 * w2) - 0.02 * tsum(dc.neg(b1))
+        ce = dc.add(cross_entropy(logits, t), dc.mul(0.5, cross_entropy(net_z, t)))
+        return dc.add(dc.add(ce, dc.mul(0.01, tmean(w2 * w2))),
+                      dc.neg(dc.mul(0.02, tsum(dc.neg(b1)))))
 
     return fn, [w1, b1, w2, b2, *net.theta_params()]
 

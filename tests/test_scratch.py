@@ -21,10 +21,10 @@ from vicinalda.model import (
     emp_forward_np,
     encode_np,
     forward_np,
-    grid_logits,
     logits_of,
 )
 from vicinalda.trainer import TrainConfig, covi_step, derive_seeds, make_dataset, warmup
+from vicinalda.vicinal import grid_logits
 
 from tape_oracle import (
     copy_params,
@@ -54,7 +54,7 @@ def network_grads(p, network, inputs, upstream):
     whose output gradient into the network node is `upstream` exactly."""
     for _, t in p.named_params():
         t.zero_grad()
-    backward(tsum(network(p, *(Tensor(a) for a in inputs)) * Tensor(upstream)))
+    backward(tsum(network(p, *inputs) * Tensor(upstream)))
     return {name: t.grad for name, t in p.named_params() if t.grad is not None}
 
 
@@ -70,9 +70,8 @@ def model_paths(p, rng, m):
         "grid_logits": (grid, plain_grid_logits(p, xs, xt)),
         "softmax_np": (dc.softmax_np(grid), plain_softmax(grid)),
         "entropy_rows_np": (dc.entropy_rows_np(grid), plain_entropy_rows(grid)),
-        "logits_of": (logits_of(p, Tensor(x)).data, unfused_logits_of(p, Tensor(x)).data),
-        "emp_forward": (emp_forward(p, Tensor(zs), Tensor(zt)).data,
-                        unfused_emp_forward(p, Tensor(zs), Tensor(zt)).data),
+        "logits_of": (logits_of(p, x).data, unfused_logits_of(p, x).data),
+        "emp_forward": (emp_forward(p, zs, zt).data, unfused_emp_forward(p, zs, zt).data),
     }
     g_theta = rng.normal(size=(m, p.n_classes))
     g_phi = rng.normal(size=(m, model.RATIO_GRID_SIZE))
@@ -125,8 +124,8 @@ class TestNoScratchReachesACaller:
             zs, zt = (rng.normal(size=(m, feat_dim)) for _ in range(2))
             held += [forward_np(p, x), encode_np(p, x), grid_logits(p, xs, xt),
                      emp_forward_np(p, zs, zt)]
-            logits = logits_of(p, Tensor(x))
-            grid = emp_forward(p, Tensor(zs), Tensor(zt))
+            logits = logits_of(p, x)
+            grid = emp_forward(p, zs, zt)
             held += [logits.data, grid.data]
             for _, t in p.named_params():
                 t.zero_grad()
@@ -224,8 +223,8 @@ class TestThreads:
 def wide_node(network, p, rng):
     """A network node at 512 rows of the wide shape."""
     if network == "logits_of":
-        return logits_of(p, Tensor(rng.normal(size=(512, 16))))
-    return emp_forward(p, *(Tensor(rng.normal(size=(512, 64))) for _ in range(2)))
+        return logits_of(p, rng.normal(size=(512, 16)))
+    return emp_forward(p, *(rng.normal(size=(512, 64)) for _ in range(2)))
 
 
 class TestNodeLifetime:

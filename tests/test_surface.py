@@ -8,7 +8,9 @@ A name counts as read when one of these refers to it:
 - `bench/tracer.py`'s TARGETS, or a `vicinalda` import in a bench/ file.
 
 The package root exports only the library entry point, and no module of the
-package or of the tests imports a name it never reads.
+package or of the tests imports a name it never reads. Every defaulted
+parameter of a package function is set by some call in package or bench
+code, so no default stands for the only value a parameter takes.
 
 The bench files are parsed, never imported or edited."""
 
@@ -168,6 +170,55 @@ def unused_imports(tree):
     return sorted(imported - read)
 
 
+def defaulted_parameters(modules):
+    """{"module.function.param": (call name, position)} for every parameter
+    with a default of a top-level package function or method. A class call
+    reaches `__init__`, so its name is the class's; a method's positions
+    skip `self`; a keyword-only parameter has position None."""
+    out = {}
+    for module, tree in modules.items():
+        owners = [(None, tree)] + [(n.name, n) for n in tree.body if isinstance(n, ast.ClassDef)]
+        for owner, node in owners:
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                args = fn.args
+                positional = (args.posonlyargs + args.args)[owner is not None:]
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                call = owner if fn.name == "__init__" else fn.name
+                qualified = ".".join(filter(None, (module, owner, fn.name)))
+                out.update((f"{qualified}.{name}", (call, i)) for name, i in params)
+    return out
+
+
+def unset_defaults(modules):
+    """Defaulted parameters (as in `defaulted_parameters`) that no call in
+    `modules` or in a bench/ file sets, by position or by keyword. Calls
+    are matched by name alone (`f(...)`, `obj.f(...)`), so a call of a
+    same-named function elsewhere counts; a `*args` call sets every
+    position and a `**kwargs` call every parameter."""
+    trees = list(modules.values()) + [parse(os.path.join(BENCH, name))
+                                      for name in sorted(os.listdir(BENCH)) if name.endswith(".py")]
+    params = defaulted_parameters(modules)
+    unset = set(params)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}  # None: a **kwargs
+            for param, (callee, i) in params.items():
+                if callee == name and (
+                        None in keywords or param.rsplit(".", 1)[1] in keywords
+                        or (i is not None and (starred or i < len(call.args)))):
+                    unset.discard(param)
+    return sorted(unset)
+
+
 def library_use_imports():
     """(module, name) pairs README's "Library use" code block imports."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
@@ -204,6 +255,17 @@ class TestPublicSurface:
                      if isinstance(n, ast.ClassDef) and n.name == "DomainBatch")
         batch.body.append(ast.parse("origin: str").body[0])
         assert unread_fields(modules) == ["domains.DomainBatch.origin"]
+
+    def test_every_defaulted_parameter_is_set_by_a_caller(self):
+        assert unset_defaults(package_modules()) == []
+
+    def test_the_default_rule_flags_an_unset_parameter(self):
+        modules = package_modules()
+        forward = next(n for n in modules["model"].body
+                       if isinstance(n, ast.FunctionDef) and n.name == "forward_np")
+        forward.args.args.append(ast.arg("probe"))
+        forward.args.defaults.append(ast.Constant(None))
+        assert unset_defaults(modules) == ["model.forward_np.probe"]
 
     def test_no_module_imports_a_name_it_never_reads(self):
         paths = [os.path.join(d, name) for d in (SRC, TESTS)

@@ -250,7 +250,7 @@ class TestEvaluate:
     def test_hand_rolled_count_on_fixture(self):
         cfg = tiny_cfg()
         ds, p, _ = setup_run(cfg)
-        pred = logits_of(p, ds.target_x).data.argmax(axis=1)
+        pred = logits_of(p, ds.target_x.data).data.argmax(axis=1)
         truth = ds.target_y_eval.data.argmax(axis=1)
         manual = sum(int(a == b) for a, b in zip(pred[:10], truth[:10])) / 10
         sub = type(ds)(
@@ -272,7 +272,7 @@ class TestEvaluate:
     def test_perfect_oracle_labels_score_one(self):
         cfg = tiny_cfg()
         ds, p, _ = setup_run(cfg)
-        predicted = logits_of(p, ds.target_x).data.argmax(axis=1)
+        predicted = logits_of(p, ds.target_x.data).data.argmax(axis=1)
         onehot = np.zeros((len(predicted), 2))
         onehot[np.arange(len(predicted)), predicted] = 1.0
         oracle_ds = type(ds)(
@@ -343,17 +343,17 @@ class TestCoviStep:
             t.zero_grad()
         lam_star = emp_argmax(q, batch)
         x_star = mix_np(batch.xs.data, batch.xt.data, lam_star.values[:, None])
-        ent_at_star = float(np.mean(dc.entropy_rows_np(logits_of(q, Tensor(x_star)).data)))
-        mix_loss = emp_mixup_loss(q, batch, lam_star, pseudo_labels(q, batch.xt))[0]
+        ent_at_star = float(np.mean(dc.entropy_rows_np(logits_of(q, x_star).data)))
+        mix_loss = emp_mixup_loss(q, batch, lam_star, pseudo_labels(q, batch.xt.data))[0]
         r_mix = mix_loss.item()
         backward(mix_loss * cfg.w_emp)
         opt_theta.step()
         for _, t in q.named_params():
             t.zero_grad()
-        mask = confidence_mask(target_top1_probs(q, batch.xt), cfg.alpha)
+        mask = confidence_mask(target_top1_probs(q, batch.xt.data), cfg.alpha)
         pairs = build_contrastive_pairs(batch, lam_star, cfg.omega, mask)
         agreement = swap_agreement(q, pairs)
-        ct = contrastive_loss(q, pairs, batch.ys, pseudo_labels(q, batch.xt))[0]
+        ct = contrastive_loss(q, pairs, batch.ys.data, pseudo_labels(q, batch.xt.data))[0]
         r_ct = ct.item()
         backward(ct * cfg.w_ct)
         opt_theta.step()
@@ -459,7 +459,7 @@ class TestCoviStep:
         batch = batcher.next_batch()
         opt_theta = SGD(p.theta_params(), cfg.lr, cfg.momentum)
         opt_phi = SGD(p.phi_params(), cfg.phi_lr, cfg.momentum)
-        loss = dc.cross_entropy(logits_of(p, batch.xs), batch.ys)
+        loss = dc.cross_entropy(logits_of(p, batch.xs.data), batch.ys.data)
         backward(dc.neg(emp_learner_loss(p, batch)[0]))
         opt_phi.step()
         backward(loss)

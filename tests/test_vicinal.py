@@ -27,7 +27,6 @@ from vicinalda.vicinal import (
     grid_entropy_table,
     grid_profile_target,
     maximality_violations,
-    mix_labels,
     mix_np,
     ratio_agreement,
 )
@@ -49,8 +48,7 @@ def random_batch(rng, m=6, d=3, n=3):
 
 def pair_grid_logits(p, batch):
     """The learner's taped grid logits on the batch's encoder features."""
-    zs, zt = (Tensor(encode_np(p, x.data)) for x in (batch.xs, batch.xt))
-    return emp_forward(p, zs, zt)
+    return emp_forward(p, encode_np(p, batch.xs.data), encode_np(p, batch.xt.data))
 
 
 class TestMix:
@@ -82,23 +80,25 @@ class TestMix:
 
 
 class TestMixLabels:
+    # label rows mix through mix_np with a column of per-row ratios, as in
+    # emp_mixup_loss
     def test_lambda_zero_keeps_source_labels(self):
-        ys = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        yt = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        out = mix_labels(ys, yt, RatioVector([0.0, 0.0]))
-        assert np.array_equal(out.data, ys.data)
+        ys = np.array([[1.0, 0.0], [0.0, 1.0]])
+        yt = np.array([[0.0, 1.0], [0.0, 1.0]])
+        out = mix_np(ys, yt, np.array([[0.0], [0.0]]))
+        assert np.array_equal(out, ys)
 
     def test_agreeing_labels_fixed_point(self):
-        y = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = mix_labels(y, y, RatioVector([0.3, 0.9]))
-        assert np.array_equal(out.data, y.data)
+        y = np.array([[0.0, 1.0], [1.0, 0.0]])
+        out = mix_np(y, y, np.array([[0.3], [0.9]]))
+        assert np.array_equal(out, y)
 
     def test_distinct_classes_weights(self):
-        ys = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        yt = Tensor(np.array([[0.0, 0.0, 1.0]]))
-        out = mix_labels(ys, yt, RatioVector([0.3]))
-        assert np.allclose(out.data, [[0.7, 0.0, 0.3]], atol=1e-15)
-        assert out.data.sum() == 1.0
+        ys = np.array([[1.0, 0.0, 0.0]])
+        yt = np.array([[0.0, 0.0, 1.0]])
+        out = mix_np(ys, yt, np.array([[0.3]]))
+        assert np.allclose(out, [[0.7, 0.0, 0.3]], atol=1e-15)
+        assert out.sum() == 1.0
 
     def test_vicinal_batch_invariants(self):
         # the mixed rows and soft labels emp_mixup_loss trains on
@@ -107,10 +107,10 @@ class TestMixLabels:
         p = init_model(d=3, n_classes=3, seed=0)
         lam = RatioVector(rng.uniform(0, 1, batch.m))
         x_mix = mix_np(batch.xs.data, batch.xt.data, lam.values[:, None])
-        y_mix = mix_labels(batch.ys, pseudo_labels(p, batch.xt), lam)
+        y_mix = mix_np(batch.ys.data, pseudo_labels(p, batch.xt.data), lam.values[:, None])
         expected = (1 - lam.values[:, None]) * batch.xs.data + lam.values[:, None] * batch.xt.data
         assert np.array_equal(x_mix, expected)
-        assert np.max(np.abs(y_mix.data.sum(axis=1) - 1.0)) < 1e-9
+        assert np.max(np.abs(y_mix.sum(axis=1) - 1.0)) < 1e-9
 
 
 class TestBruteForce:
@@ -145,7 +145,7 @@ class TestBruteForce:
             entropies = []
             for k, g in enumerate(RATIO_GRID):
                 row = (1 - g) * batch.xs.data[i] + g * batch.xt.data[i]
-                z = logits_of(p, Tensor(row[None, :])).data[0]
+                z = logits_of(p, row[None, :]).data[0]
                 e = np.exp(z - z.max())
                 prob = e / e.sum()
                 entropies.append(-(prob * np.log(np.maximum(prob, 1e-12))).sum())
@@ -200,7 +200,7 @@ class TestTapeFreeRatioMachinery:
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
         oracle = np.empty((m, len(RATIO_GRID)))
         for k, lam_k in enumerate(RATIO_GRID):
-            logits = logits_of(p, Tensor(mix_np(batch.xs.data, batch.xt.data, lam_k))).data
+            logits = logits_of(p, mix_np(batch.xs.data, batch.xt.data, lam_k)).data
             oracle[:, k] = dc.entropy_rows_np(logits)
         assert np.array_equal(grid_entropy_table(p, batch), oracle)
 
@@ -231,7 +231,7 @@ class TestTapeFreeRatioMachinery:
     def test_argmax_matches_taped_grid_logits(self, d, n_classes, feat_dim, hidden, m):
         p = perturbed_model(d, n_classes, feat_dim, hidden)
         batch = random_batch(np.random.default_rng(m), m=m, d=d, n=n_classes)
-        zs, zt = (Tensor(unfused_features(p, x).data) for x in (batch.xs, batch.xt))
+        zs, zt = (unfused_features(p, x.data).data for x in (batch.xs, batch.xt))
         taped = emp_forward(p, zs, zt).data
         assert np.array_equal(pair_grid_logits(p, batch).data, taped)
         expected = RATIO_GRID[np.argmax(taped, axis=1)]
@@ -296,7 +296,7 @@ class TestEmpLearnerLoss:
             # the learner's expected grid ratio per pair
             lam = RatioVector(dc.softmax_np(pair_grid_logits(p, batch).data) @ RATIO_GRID)
             x_mix = mix_np(batch.xs.data, batch.xt.data, lam.values[:, None])
-            return dc.entropy_rows_np(logits_of(p, Tensor(x_mix)).data).mean()
+            return dc.entropy_rows_np(logits_of(p, x_mix).data).mean()
 
         start = soft_entropy()
         opt_phi = SGD(p.phi_params(), lr=0.05, momentum=0.9)
@@ -313,7 +313,7 @@ class TestEmpLearnerLoss:
         batch = random_batch(rng, m=32, d=2, n=2)
         opt_theta = SGD(p.theta_params(), lr=0.05, momentum=0.9)
         for _ in range(100):
-            backward(dc.cross_entropy(logits_of(p, batch.xs), batch.ys))
+            backward(dc.cross_entropy(logits_of(p, batch.xs.data), batch.ys.data))
             opt_theta.step()
         oracle = brute_force_emp(p, batch).values
         start, _ = ratio_agreement(emp_argmax(p, batch).values, oracle)
@@ -341,17 +341,17 @@ class TestEmpMixupLoss:
         p = init_model(d=3, n_classes=3, seed=16)
         batch = random_batch(rng)
         lam = RatioVector(np.zeros(batch.m))
-        loss = emp_mixup_loss(p, batch, lam, pseudo_labels(p, batch.xt))[0]
-        expected = dc.cross_entropy(logits_of(p, batch.xs), batch.ys)
+        loss = emp_mixup_loss(p, batch, lam, pseudo_labels(p, batch.xt.data))[0]
+        expected = dc.cross_entropy(logits_of(p, batch.xs.data), batch.ys.data)
         assert abs(loss.item() - expected.item()) < 1e-15
 
     def test_lambda_one_reduces_to_self_training(self):
         rng = np.random.default_rng(20)
         p = init_model(d=3, n_classes=3, seed=17)
         batch = random_batch(rng)
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         loss = emp_mixup_loss(p, batch, RatioVector(np.ones(batch.m)), yt_hat)[0]
-        expected = dc.cross_entropy(logits_of(p, batch.xt), yt_hat)
+        expected = dc.cross_entropy(logits_of(p, batch.xt.data), yt_hat)
         assert abs(loss.item() - expected.item()) < 1e-15
         assert loss.item() >= 0.0
 
@@ -360,14 +360,13 @@ class TestEmpMixupLoss:
         p = init_model(d=4, n_classes=3, seed=18)
         batch = random_batch(rng, m=5, d=4)
         lam = brute_force_emp(p, batch)
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         loss = emp_mixup_loss(p, batch, lam, yt_hat)[0]
         # independent recomputation of the mixed risk from its definition
         lam_col = lam.values[:, None]
         x_mix = (1 - lam_col) * batch.xs.data + lam_col * batch.xt.data
-        yt = yt_hat.data
-        y_mix = (1 - lam_col) * batch.ys.data + lam_col * yt
-        z = logits_of(p, Tensor(x_mix)).data
+        y_mix = (1 - lam_col) * batch.ys.data + lam_col * yt_hat
+        z = logits_of(p, x_mix).data
         prob = np.exp(z - z.max(axis=1, keepdims=True))
         prob /= prob.sum(axis=1, keepdims=True)
         expected = float(np.mean(-(y_mix * np.log(np.maximum(prob, 1e-12))).sum(axis=1)))
@@ -377,7 +376,7 @@ class TestEmpMixupLoss:
         rng = np.random.default_rng(22)
         p = init_model(d=3, n_classes=3, seed=19)
         batch = random_batch(rng)
-        yt_hat = pseudo_labels(p, batch.xt)
+        yt_hat = pseudo_labels(p, batch.xt.data)
         backward(emp_mixup_loss(p, batch, RatioVector(np.full(batch.m, 0.5)), yt_hat)[0])
         assert all(t.grad is not None for t in p.theta_params())
         assert all(t.grad is None for t in p.phi_params())
